@@ -8,7 +8,7 @@ gets honest sandwich bounds.
 
 from .binomials import (Binomial, Monomial, TermOrder, binomial_from_vector,
                         binomial_vector, toric_gb, var_sort_key)
-from .constructions import build_H, prism
+from .constructions import build_H
 from .encoding import adegree, build_AG, edge_variables, VectorConfiguration
 from .graphs import ClosedWalk, classify, components, enumerate_cycles, \
     is_bipartite
@@ -58,24 +58,10 @@ class BasisReport:
         return "BasisReport(%s, %d elements)" % (self.status, self.count)
 
 
-def _config_key(cfg):
-    return (cfg.matrix.entries, cfg.matrix.column_names)
-
-
-_circuit_memo = {}
-
-_graver_memo = {}
-
-
 def circuits(cfg):
     """Circuit binomials of a configuration: minimal-support kernel vectors."""
-    key = _config_key(cfg)
-    if key not in _circuit_memo:
-        vecs = matrix_circuits(cfg.matrix)
-        _circuit_memo[key] = tuple(binomial_from_vector(v.entries,
-                                                        cfg.variables)
-                                   for v in vecs)
-    return list(_circuit_memo[key])
+    return [binomial_from_vector(v.entries, cfg.variables)
+            for v in matrix_circuits(cfg.matrix)]
 
 
 def graver(cfg):
@@ -87,9 +73,6 @@ def graver(cfg):
     so one Groebner computation followed by projection to the x-variables
     yields the full Graver basis.
     """
-    key = _config_key(cfg)
-    if key in _graver_memo:
-        return list(_graver_memo[key])
     mat = cfg.matrix
     xvars = cfg.variables
     zvars = []
@@ -117,9 +100,7 @@ def graver(cfg):
         minus = Monomial((v, e) for v, e in g.minus.items if v in xset)
         b = Binomial(plus, minus)
         seen.setdefault(b, b)
-    out = sorted(seen, key=lambda b: _vector_sort_key(b, xvars))
-    _graver_memo[key] = tuple(out)
-    return list(out)
+    return sorted(seen, key=lambda b: _vector_sort_key(b, xvars))
 
 
 def _vector_sort_key(b, variables):
@@ -194,8 +175,9 @@ def graph_circuits(h):
     host = getattr(h, "graph", h)
     if len(components(host)) != 1:
         raise ValueError("circuit walks need a connected host graph")
-    walks = list(enumerate_cycles(host, "even"))
-    odd = enumerate_cycles(host, "odd")
+    cycles = enumerate_cycles(host)
+    walks = [c for c in cycles if c.is_even]
+    odd = [c for c in cycles if not c.is_even]
     for a in range(len(odd)):
         for b in range(a + 1, len(odd)):
             c1, c2 = odd[a], odd[b]
@@ -228,13 +210,14 @@ def ugb(g):
     """Universal Groebner basis of P_G, exact where the host theory applies.
 
     Components contribute independently (their variables are disjoint):
-    trees via the even cycles of their prism; bipartite unicyclic components
-    via the even cycles of their host graph; a lone odd cycle via the
-    circuit walks of its prism; any other bipartite component via the
-    circuits of A_G (every initial ideal is squarefree there and the
-    universal basis collapses onto the circuits). What remains (non-bipartite
-    with extra structure) is only sandwiched: circuits below, Graver above,
-    and the report says so rather than guessing.
+    trees and bipartite unicyclic components via the even cycles of their
+    host graph (for a tree that is its prism); a lone odd cycle via the
+    circuit walks of its host graph, its prism; any other bipartite
+    component via the circuits of A_G (every initial ideal is squarefree
+    there and the universal basis collapses onto the circuits). What
+    remains (non-bipartite with extra structure) is only sandwiched:
+    circuits below, Graver above, and the report says so rather than
+    guessing.
     """
     elements = []
     lower = []
@@ -242,16 +225,12 @@ def ugb(g):
     exact = True
     for record in classify(g).per_component:
         comp = record.graph
-        if record.kind == "tree":
-            host = prism(comp)
-            els = [walk_binomial(w, host)
-                   for w in enumerate_cycles(host.graph, "even")]
-        elif record.kind == "unicyclic-even":
+        if record.kind in ("tree", "unicyclic-even"):
             host = build_H(comp)
             els = [walk_binomial(w, host)
                    for w in enumerate_cycles(host.graph, "even")]
         elif record.kind == "unicyclic-odd" and comp.n == record.cycle.length:
-            els = graph_circuits(prism(comp))
+            els = graph_circuits(build_H(comp))
         elif record.bipartite:
             els = circuits(build_AG(comp))
         else:

@@ -246,10 +246,11 @@ class TermOrder:
 
     def key(self, m):
         """Sort key: key(a) > key(b) iff a > b in this order."""
-        for v, _ in m.items:
+        exps = [0] * len(self.variable_ranking)
+        for v, e in m.items:
             if v not in self._index:
                 raise ValueError("variable %s is not ranked" % format_var(v))
-        exps = [m.exponent(v) for v in self.variable_ranking]
+            exps[self._index[v]] = e
         if self.kind == "lex":
             return tuple(exps)
         if self.kind == "deglex":
@@ -316,57 +317,67 @@ def buchberger(generators, order):
 
     Classic Buchberger with the normal selection strategy (smallest S-pair
     lcm first, ties by insertion index) and the coprime-lead criterion,
-    followed by inter-reduction; output is sorted by ascending lead.
+    followed by inter-reduction; output is sorted by ascending lead, and
+    each output element has its lead as its plus side. During the run each
+    element is kept only as its (lead, tail) rewriting rule, oriented once
+    when it enters. The S-pairs of an element with those before it form one
+    run sorted by lcm, and a heap merges the runs holding one pair of each,
+    so the queue stays as small as the basis.
     """
-    basis = []
-    for g in generators:
-        if g not in basis:
-            basis.append(g)
+    rules = []
+    seen = set()
     heap = []
 
-    def queue_pairs(new):
-        lead_new = leading(order, basis[new])
-        for k in range(new):
-            big = monomial_lcm(leading(order, basis[k]), lead_new)
-            heapq.heappush(heap, (order.key(big), k, new))
+    def pair_key(k, j):
+        return order.key(monomial_lcm(rules[k][0], rules[j][0]))
 
-    for idx in range(len(basis)):
-        queue_pairs(idx)
+    def queue_next(run, j):
+        k = next(run, None)
+        if k is not None:
+            heapq.heappush(heap, (pair_key(k, j), k, j, run))
+
+    def add(b):
+        lead, tail = oriented(order, b)
+        j = len(rules)
+        # coprime leads: the S-pair reduces to zero, so it is never queued
+        run = [k for k, (lead_k, _) in enumerate(rules)
+               if monomial_gcd(lead_k, lead).items]
+        rules.append((lead, tail))
+        seen.add(b)
+        run.sort(key=lambda k: pair_key(k, j))
+        queue_next(iter(run), j)
+
+    for g in generators:
+        if g not in seen:
+            add(g)
     while heap:
-        _, i, j = heapq.heappop(heap)
-        gi, gj = basis[i], basis[j]
-        lead_i, tail_i = oriented(order, gi)
-        lead_j, tail_j = oriented(order, gj)
-        if not monomial_gcd(lead_i, lead_j).items:
-            continue
+        _, i, j, run = heapq.heappop(heap)
+        queue_next(run, j)
+        lead_i, tail_i = rules[i]
+        lead_j, tail_j = rules[j]
         big = monomial_lcm(lead_i, lead_j)
         spair_plus = (big / lead_i) * tail_i
         spair_minus = (big / lead_j) * tail_j
         if spair_plus == spair_minus:
             continue
-        rules = [oriented(order, g) for g in basis]
         reduced = _reduce_binomial(spair_plus, spair_minus, rules)
-        if reduced == 0 or reduced in basis:
-            continue
-        basis.append(reduced)
-        queue_pairs(len(basis) - 1)
-    return _interreduce(basis, order)
+        if reduced != 0 and reduced not in seen:
+            add(reduced)
+    return _interreduce(rules, order)
 
 
-def _interreduce(basis, order):
+def _interreduce(rules, order):
     """Minimalize leads, fully reduce tails, sort ascending by lead."""
-    oriented_basis = sorted((oriented(order, g) for g in basis),
-                            key=lambda lt: order.key(lt[0]))
     kept = []
-    for lead, tail in oriented_basis:
+    for lead, tail in sorted(rules, key=lambda lt: order.key(lt[0])):
         if not any(k_lead.divides(lead) for k_lead, _ in kept):
             kept.append((lead, tail))
     out = []
     for idx, (lead, tail) in enumerate(kept):
-        rules = [kept[k] for k in range(len(kept)) if k != idx]
-        tail = _rewrite(tail, rules)
+        tail = _rewrite(tail, kept[:idx] + kept[idx + 1:])
         out.append(Binomial(lead, tail))
-    out.sort(key=lambda g: order.key(leading(order, g)))
+    # Binomial(lead, tail) keeps lead, less any common factor, as plus.
+    out.sort(key=lambda g: order.key(g.plus))
     return out
 
 
@@ -448,12 +459,10 @@ def toric_gb(cfg, order):
     gens = [binomial_from_vector(v.entries, variables) for v in basis]
     everything = Monomial([(aux, 1)] + [(v, 1) for v in variables])
     gens.append(Binomial(everything, ONE))
-    block = _Elimination(aux, order)
-    full = buchberger(gens, block)
-    kept = [g for g in full
-            if leading(block, g).exponent(aux) == 0]
-    kept.sort(key=lambda g: order.key(leading(order, g)))
-    return kept
+    full = buchberger(gens, _Elimination(aux, order))
+    # A t-free lead means a t-free element, and on those the elimination
+    # order agrees with `order`, so the kept elements are already sorted.
+    return [g for g in full if g.plus.exponent(aux) == 0]
 
 
 def indispensable_monomials(g):

@@ -11,8 +11,7 @@ edges to the variables x_ij, which is what makes P_G = I_H checkable.
 from collections import namedtuple
 from itertools import combinations
 
-from .binomials import VarId
-from .encoding import heights, incidence_config
+from .encoding import heights
 from .graphs import Graph, classify, components
 
 
@@ -236,12 +235,15 @@ def verify_PG_equals_IH(g, h):
     Containment: for every edge {i, j} of g the named edges z_ii, z_ji,
     z_jj, z_ij form a 4-cycle in h (making f_ij the walk binomial of that
     cycle), double-checked through the incidence identity
-    b_ii + b_jj = b_ij + b_ji. Both ideals are prime, so containment with
-    equal heights gives equality.
+    b_ii + b_jj = b_ij + b_ji, which says the two edge pairs cover the same
+    endpoints. Both ideals are prime, so containment with equal heights
+    gives equality.
     """
     host = h.graph if isinstance(h, LabeledConstruction) else h
     names = host.edge_names or {}
     by_name = {name: edge for edge, name in names.items()}
+    if len(by_name) != len(names):
+        raise ValueError("host edge names are not distinct")
     needed = [(v, v) for v in g.vertices]
     for i, j in g.edges:
         needed.append((i, j))
@@ -250,7 +252,6 @@ def verify_PG_equals_IH(g, h):
     if missing:
         raise ValueError("host is missing edges named %s"
                          % ", ".join("z_%d,%d" % n for n in missing))
-    cfg = incidence_config(host)
     containment_ok = True
     for i, j in g.edges:
         quad = [by_name[(i, i)], by_name[(j, i)],
@@ -265,12 +266,8 @@ def verify_PG_equals_IH(g, h):
             seen |= set(quad[a])
         ok = ok and len(seen) == 4
         if ok:
-            d = cfg.ambient_dim
-            left = [cfg.columns[VarId(i, i)][r] + cfg.columns[VarId(j, j)][r]
-                    for r in range(d)]
-            right = [cfg.columns[VarId(i, j)][r] + cfg.columns[VarId(j, i)][r]
-                     for r in range(d)]
-            ok = left == right
+            ok = sorted(by_name[(i, i)] + by_name[(j, j)]) \
+                == sorted(by_name[(i, j)] + by_name[(j, i)])
         containment_ok = containment_ok and ok
     report = heights(g, host)
     height_ok = report.ht_PG == report.ht_IH

@@ -242,12 +242,13 @@ def enumerate_cycles(g, parity="all"):
 
     for root in g.vertices:
         extend(root, root)
-    cycles = [c.canonical() for c in found]
+    # Each cycle starts at its least vertex with the smaller neighbour
+    # second, so it is already canonical.
     if parity != "all":
         want = 0 if parity == "even" else 1
-        cycles = [c for c in cycles if c.length % 2 == want]
-    cycles.sort(key=lambda c: (c.length, c.vertices))
-    return cycles
+        found = [c for c in found if c.length % 2 == want]
+    found.sort(key=lambda c: (c.length, c.vertices))
+    return found
 
 
 def classify(g):

@@ -13,6 +13,7 @@ from diagminors.binomials import (Binomial, Monomial, ONE, TermOrder, VarId,
                                   toric_gb, var_sort_key)
 from diagminors.encoding import build_AG, generators_PG, incidence_config
 from diagminors.constructions import prism
+from diagminors.graphs import Graph, classify
 from diagminors import fixtures
 
 
@@ -218,6 +219,39 @@ def test_toric_gb_independent_columns_and_incidence_example():
                      ("x11*x22 - x12*x21", "x22*x33 - x23*x32",
                       "x11*x33 - x13*x31", "x11*x44 - x14*x41"))
     assert got == want
+
+
+def _small_graphs(rnd):
+    """A tree, a unicyclic graph and a multicycle graph, drawn from rnd."""
+    n = rnd.randint(3, 5)
+    yield Graph((), [(rnd.randint(1, v - 1), v) for v in range(2, n + 1)])
+    k = rnd.randint(3, 4)
+    ring = [(v, v + 1) for v in range(1, k)] + [(1, k)]
+    yield Graph((), ring + [(rnd.randint(1, k), k + 1)])
+    pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    yield Graph((), rnd.sample(pairs, rnd.randint(5, 6)))
+
+
+def test_buchberger_independent_of_generator_order_and_repeats():
+    rnd = random.Random(2024)
+    kinds = set()
+    for _ in range(8):
+        for g in _small_graphs(rnd):
+            kinds.update(classify(g).kinds)
+            gens = generators_PG(g)
+            cfg = build_AG(g)
+            ranking = list(cfg.variables)
+            rnd.shuffle(ranking)
+            order = TermOrder(rnd.choice(TermOrder.kinds), ranking)
+            want = buchberger(gens, order)
+            # repeats, some written with their sides swapped
+            noisy = gens + [Binomial(b.minus, b.plus) if rnd.random() < 0.5
+                            else b for b in rnd.sample(gens, len(gens) // 2)]
+            rnd.shuffle(noisy)
+            assert buchberger(noisy, order) == want
+            assert toric_gb(cfg, order) == want
+    assert {"tree", "multicycle"} <= kinds
+    assert kinds & {"unicyclic-even", "unicyclic-odd"}
 
 
 def test_squarefree_for_every_order_only_when_bipartite():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from diagminors import cli
+from diagminors import cli, suite
 from diagminors.constructions import prism
 from diagminors.graphs import serialize_edge_list
 from diagminors import fixtures
@@ -252,7 +252,18 @@ def test_json_round_trips(capsys, trip_file):
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-def test_suite_runs_battery(capsys):
+@pytest.fixture(scope="module")
+def battery():
+    """One run of the whole battery, shared by the suite verb's tests."""
+    return suite.run_all()
+
+
+@pytest.fixture
+def shared_battery(monkeypatch, battery):
+    monkeypatch.setattr(suite, "run_all", lambda: battery)
+
+
+def test_suite_runs_battery(capsys, shared_battery):
     rc, out, _ = _run(capsys, ["suite"])
     assert rc == 0
     lines = out.splitlines()
@@ -262,7 +273,7 @@ def test_suite_runs_battery(capsys):
     assert lines[3].startswith("PASS criterion 4:")
 
 
-def test_suite_json(capsys):
+def test_suite_json(capsys, shared_battery):
     rc, out, _ = _run(capsys, ["suite", "--format", "json"])
     assert rc == 0
     data = json.loads(out)

@@ -183,3 +183,14 @@ def test_verify_missing_names_and_broken_quad():
                   (3, 4): (2, 2), (4, 5): (2, 1)})
     rep = verify_PG_equals_IH(fixtures.k2(), host)
     assert not rep.containment_ok and not rep.equal
+
+
+def test_verify_incidence_identity_rejects_triangle_with_pendant():
+    # every consecutive pair of the named quad meets once and the quad
+    # touches four vertices, but z_11, z_22 cover {1, 2, 2, 4} while
+    # z_12, z_21 cover {1, 4, 2, 3}: only b_ii + b_jj = b_ij + b_ji fails
+    host = Graph((), [(1, 2), (2, 3), (2, 4), (1, 4)],
+                 {(1, 2): (1, 1), (2, 3): (2, 1),
+                  (2, 4): (2, 2), (1, 4): (1, 2)})
+    rep = verify_PG_equals_IH(fixtures.k2(), host)
+    assert not rep.containment_ok and not rep.equal
