@@ -92,10 +92,12 @@ def prism(w, stride=None):
 def mobius(c, host, stride=None):
     """Moebius band of an even cycle: doubled path plus two twisted edges.
 
-    The cycle is taken in canonical rotation (i_1, ..., i_k); both copies of
-    the path i_1 ... i_k keep the prism naming, and the closing edge
-    {i_1, i_k} turns into the twisted pair {p_i1, q_ik} and {p_ik, q_i1}.
-    The result has 2k vertices and 3k edges and is never bipartite.
+    The cycle is taken in canonical rotation (i_1, ..., i_k). The band is
+    the prism of the path i_1 ... i_k, so both copies keep the prism naming,
+    with the closing edge {i_1, i_k} turned into the twisted pair
+    {p_i1, q_ik} and {p_ik, q_i1}, listed after the two copies and before
+    the rungs. The result has 2k vertices and 3k edges and is never
+    bipartite.
     """
     if not c.is_cycle or c.length < 4 or c.length % 2:
         raise ValueError("Moebius band needs an even cycle of length >= 4")
@@ -105,34 +107,17 @@ def mobius(c, host, stride=None):
             raise ValueError("cycle edge %s is not in the host graph" % (e,))
     seq = c.canonical().vertices
     s = stride if stride is not None else max(host.vertices) + 1
+    band = prism(Graph((), zip(seq, seq[1:])), stride=s)
     first, last = seq[0], seq[-1]
-    edges = []
-    names = {}
-    origin = {}
-    for a, b in zip(seq, seq[1:]):
-        i, j = (a, b) if a < b else (b, a)
-        edges.append((i, j))
-        names[(i, j)] = (i, j)
-        origin[(i, j)] = "copy-1"
-    for a, b in zip(seq, seq[1:]):
-        i, j = (a, b) if a < b else (b, a)
-        edges.append((i + s, j + s))
-        names[(i + s, j + s)] = (j, i)
-        origin[(j, i)] = "copy-2"
-    edges.append((first, last + s))
-    names[(first, last + s)] = (first, last)
-    origin[(first, last)] = "twisted"
-    edges.append((last, first + s))
-    names[(last, first + s)] = (last, first)
-    origin[(last, first)] = "twisted"
-    for v in sorted(seq):
-        edges.append((v, v + s))
-        names[(v, v + s)] = (v, v)
-        origin[(v, v)] = "rung"
-    graph = Graph((), edges, names)
-    return LabeledConstruction(graph, origin,
-                               {v: v for v in seq},
-                               {v: v + s for v in seq})
+    twisted = {(first, last + s): (first, last),
+               (last, first + s): (last, first)}
+    edges = list(band.graph.edges)
+    copies = 2 * (len(seq) - 1)
+    edges[copies:copies] = list(twisted)
+    names = {**band.graph.edge_names, **twisted}
+    origin = {**band.origin, **dict.fromkeys(twisted.values(), "twisted")}
+    return LabeledConstruction(Graph((), edges, names), origin,
+                               band.p_map, band.q_map)
 
 
 def clique_sum(g1, g2, shared):
@@ -181,13 +166,16 @@ def clique_sum(g1, g2, shared):
 
 
 def build_H(g):
-    """Host graph H with P_G = I_H, assembled per connected component.
+    """Host graph H with P_G = I_H, the union of one piece per component.
 
     Trees and non-bipartite unicyclic components take their prism; a
-    bipartite unicyclic component takes the Moebius band of its cycle,
-    1-clique-summed over rung edges with the prisms of its hanging trees
-    (processed by ascending root); components are joined by 0-sums. A
-    component with two or more independent cycles admits no host graph.
+    bipartite unicyclic component takes the Moebius band of its cycle
+    followed by the prisms of its hanging trees, by ascending root. All
+    pieces share one stride, so a hanging tree's prism meets the band in
+    its root's rung alone and pieces of different components are disjoint:
+    the union is the 1-clique sums over those rungs and the 0-sums between
+    components. A component with two or more independent cycles admits no
+    host graph.
     """
     if not g.vertices:
         raise ValueError("empty graph: nothing to construct")
@@ -202,27 +190,23 @@ def build_H(g):
             pieces.append(prism(comp, stride=s))
             continue
         cyc = record.cycle
-        acc = mobius(cyc, comp, stride=s)
+        pieces.append(mobius(cyc, comp, stride=s))
         cycle_edges = set(cyc.edge_sequence)
         cycle_vertices = set(cyc.vertices)
         rest = Graph(comp.vertices,
                      [e for e in comp.edges if e not in cycle_edges])
-        hanging = []
-        for sub in components(rest):
-            if sub.m == 0:
-                continue
-            roots = [v for v in sub.vertices if v in cycle_vertices]
-            if len(roots) != 1:
-                raise ValueError("hanging tree meets the cycle %d times"
-                                 % len(roots))
-            hanging.append((roots[0], sub))
-        for root, sub in sorted(hanging, key=lambda rs: rs[0]):
-            acc = clique_sum(acc, prism(sub, stride=s), {root, root + s})
-        pieces.append(acc)
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = clique_sum(out, piece, ())
-    return out
+        # each tree meets the cycle in exactly one vertex, its root
+        hanging = {min(cycle_vertices.intersection(sub.vertices)): sub
+                   for sub in components(rest) if sub.m}
+        pieces += [prism(hanging[root], stride=s) for root in sorted(hanging)]
+    edges, names, origin, p_map, q_map = [], {}, {}, {}, {}
+    for piece in pieces:
+        edges += piece.graph.edges
+        names.update(piece.graph.edge_names)
+        origin.update(piece.origin)
+        p_map.update(piece.p_map)
+        q_map.update(piece.q_map)
+    return LabeledConstruction(Graph((), edges, names), origin, p_map, q_map)
 
 
 VerifyReport = namedtuple("VerifyReport",

@@ -86,19 +86,26 @@ class Graph:
 class ClosedWalk:
     """Closed walk given by its cyclic vertex sequence (closure implicit)."""
 
-    __slots__ = ("vertices", "edge_sequence")
+    __slots__ = ("vertices",)
 
     def __init__(self, vertices):
         vs = tuple(int(v) for v in vertices)
         if len(vs) < 2:
             raise ValueError("a closed walk needs at least two vertices")
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            if a == b:
+                raise ValueError("loop at vertex %d" % a)
         self.vertices = vs
-        self.edge_sequence = tuple(edge_key(a, b)
-                                   for a, b in zip(vs, vs[1:] + vs[:1]))
+
+    @property
+    def edge_sequence(self):
+        """Sorted vertex pairs of the steps, the closing step last."""
+        vs = self.vertices
+        return tuple(edge_key(a, b) for a, b in zip(vs, vs[1:] + vs[:1]))
 
     @property
     def length(self):
-        return len(self.edge_sequence)
+        return len(self.vertices)
 
     @property
     def is_even(self):
@@ -251,6 +258,34 @@ def enumerate_cycles(g, parity="all"):
     return found
 
 
+def _peel_cycle(g):
+    """The one cycle of a connected unicyclic graph, in canonical rotation.
+
+    Leaves are stripped until only the cycle is left, which is then walked
+    from its least vertex towards the smaller of that vertex's two cycle
+    neighbours: the form enumerate_cycles emits, found in linear time.
+    """
+    degree = {v: g.degree(v) for v in g.vertices}
+    leaves = [v for v, d in degree.items() if d == 1]
+    while leaves:
+        v = leaves.pop()
+        degree[v] = 0
+        for w in g.neighbors(v):
+            if degree[w]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    on_cycle = {v for v, d in degree.items() if d}
+    start = min(on_cycle)
+    walk = [start]
+    prev, v = start, next(w for w in g.neighbors(start) if w in on_cycle)
+    while v != start:
+        walk.append(v)
+        prev, v = v, next(w for w in g.neighbors(v)
+                          if w in on_cycle and w != prev)
+    return ClosedWalk(walk)
+
+
 def classify(g):
     """Per-component kind (tree / unicyclic-even / unicyclic-odd / multicycle).
 
@@ -265,7 +300,7 @@ def classify(g):
         if excess == -1:
             kind = "tree"
         elif excess == 0:
-            cycle = enumerate_cycles(comp)[0]
+            cycle = _peel_cycle(comp)
             kind = "unicyclic-even" if cycle.is_even else "unicyclic-odd"
         else:
             kind = "multicycle"

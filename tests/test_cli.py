@@ -1,6 +1,7 @@
 """Command line: verbs, formats, exit codes, byte stability."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -128,6 +129,69 @@ def test_construct_roles_json(capsys, tmp_path):
     assert rc == 0
     data = json.loads(out)
     assert len(data["vertices"]) == 8 and len(data["edges"]) == 12
+
+
+MOBIUS_C6 = """\
+1 2  # name=z_12
+2 3  # name=z_23
+3 4  # name=z_34
+4 5  # name=z_45
+5 6  # name=z_56
+8 9  # name=z_21
+9 10  # name=z_32
+10 11  # name=z_43
+11 12  # name=z_54
+12 13  # name=z_65
+1 13  # name=z_16
+6 8  # name=z_61
+1 8  # name=z_11
+2 9  # name=z_22
+3 10  # name=z_33
+4 11  # name=z_44
+5 12  # name=z_55
+6 13  # name=z_66
+"""
+
+WITNESS_PENDANT_CYCLE = """\
+1 2  # name=z_12
+2 3  # name=z_23
+3 4  # name=z_34
+8 9  # name=z_21
+9 10  # name=z_32
+10 11  # name=z_43
+1 11  # name=z_14
+4 8  # name=z_41
+1 8  # name=z_11
+2 9  # name=z_22
+3 10  # name=z_33
+4 11  # name=z_44
+1 5  # name=z_15
+1 6  # name=z_16
+8 12  # name=z_51
+8 13  # name=z_61
+5 12  # name=z_55
+6 13  # name=z_66
+"""
+
+
+def test_construct_text_pinned(capsys, tmp_path):
+    c6 = tmp_path / "c6.edges"
+    c6.write_text(serialize_edge_list(fixtures.cycle(6)))
+    rc, out, _ = _run(capsys, ["construct", str(c6), "--kind", "mobius"])
+    assert rc == 0 and out == MOBIUS_C6
+    pc = tmp_path / "pendant.edges"
+    pc.write_text(serialize_edge_list(fixtures.pendant_cycle()))
+    rc, out, _ = _run(capsys, ["construct", str(pc), "--kind", "witness"])
+    assert rc == 0 and out == WITNESS_PENDANT_CYCLE
+
+
+def test_analyze_long_cycle(capsys, tmp_path):
+    p = tmp_path / "c1500.edges"
+    p.write_text(serialize_edge_list(fixtures.cycle(1500)))
+    rc, out, _ = _run(capsys, ["analyze", str(p)])
+    assert rc == 0
+    assert "  cycle: %s" % " ".join(str(v) for v in range(1, 1501)) \
+        in out.splitlines()
 
 
 def test_construct_preconditions(capsys, tri_file, theta_file):
@@ -284,8 +348,12 @@ def test_suite_json(capsys, shared_battery):
 
 
 def test_module_entry_point(k2_file):
+    # the child interpreter imports the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "diagminors.cli",
                            "gens", k2_file],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout == "x11*x22 - x12*x21\n"

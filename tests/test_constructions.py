@@ -1,11 +1,14 @@
 """Prisms, Moebius bands, clique sums, host assembly and verification."""
 
+import random
+
 import pytest
 
 from diagminors.constructions import (LabeledConstruction, build_H, clique_sum,
                                       mobius, prism, verify_PG_equals_IH)
 from diagminors.encoding import heights
-from diagminors.graphs import ClosedWalk, Graph, enumerate_cycles, is_bipartite
+from diagminors.graphs import (ClosedWalk, Graph, classify, components,
+                               enumerate_cycles, is_bipartite)
 from diagminors import fixtures
 
 
@@ -164,6 +167,65 @@ def test_build_H_disjoint_components():
     h = build_H(g)
     assert (h.graph.n, h.graph.m) == (10, 13)
     assert verify_PG_equals_IH(g, h).equal
+
+
+def _build_H_by_clique_sums(g):
+    """Reference host: the pieces of build_H glued pairwise by clique_sum."""
+    s = max(g.vertices) + 1
+    pieces = []
+    for record in classify(g).per_component:
+        comp, kind = record.graph, record.kind
+        if kind in ("tree", "unicyclic-odd"):
+            pieces.append(prism(comp, stride=s))
+            continue
+        cyc = record.cycle
+        acc = mobius(cyc, comp, stride=s)
+        cycle_edges = set(cyc.edge_sequence)
+        cycle_vertices = set(cyc.vertices)
+        rest = Graph(comp.vertices,
+                     [e for e in comp.edges if e not in cycle_edges])
+        hanging = []
+        for sub in components(rest):
+            if sub.m == 0:
+                continue
+            roots = [v for v in sub.vertices if v in cycle_vertices]
+            assert len(roots) == 1
+            hanging.append((roots[0], sub))
+        for root, sub in sorted(hanging, key=lambda rs: rs[0]):
+            acc = clique_sum(acc, prism(sub, stride=s), {root, root + s})
+        pieces.append(acc)
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out = clique_sum(out, piece, ())
+    return out
+
+
+def _random_component(rnd, labels):
+    """A tree, or a cycle with trees hanging off it, on the given labels."""
+    n = len(labels)
+    k = rnd.choice([0, 0] + list(range(3, n + 1)))
+    edges = [(labels[i], labels[(i + 1) % k]) for i in range(k)]
+    edges += [(labels[rnd.randrange(v)], labels[v])
+              for v in range(max(k, 1), n)]
+    return edges
+
+
+def test_build_H_matches_clique_sum_reference():
+    rnd = random.Random(4)
+    for _ in range(120):
+        sizes = [rnd.randint(1, 10) for _ in range(rnd.choice([1, 1, 2, 3]))]
+        labels = rnd.sample(range(1, 4 * sum(sizes) + 2), sum(sizes))
+        edges, rest = [], labels
+        for size in sizes:
+            edges += _random_component(rnd, rest[:size])
+            rest = rest[size:]
+        rnd.shuffle(edges)
+        g = Graph(labels, edges)
+        h, ref = build_H(g), _build_H_by_clique_sums(g)
+        assert h.graph.edges == ref.graph.edges
+        assert h.graph.edge_names == ref.graph.edge_names
+        assert (h.origin, h.p_map, h.q_map) \
+            == (ref.origin, ref.p_map, ref.q_map)
 
 
 def test_verify_reports():

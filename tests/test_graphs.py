@@ -72,8 +72,9 @@ def test_closed_walk_basics():
     assert w.edge_sequence == ((1, 2), (2, 3), (1, 3))
     eight = ClosedWalk((1, 2, 3, 1, 4, 5))
     assert eight.is_even and not eight.is_cycle
-    with pytest.raises(ValueError):
-        ClosedWalk((1,))
+    for bad in ((1,), (1, 1, 2), (1, 2, 1)):
+        with pytest.raises(ValueError):
+            ClosedWalk(bad)
 
 
 def test_canonical_rotation_and_reflection():
@@ -128,6 +129,21 @@ def test_enumerate_cycles_each_once():
             assert c.is_cycle
             assert c == c.canonical()
             assert all(g.has_edge(*e) for e in c.edge_sequence)
+
+
+def test_classify_cycle_is_enumerated_cycle():
+    # unicyclic graphs with trees hanging off the cycle, scattered labels
+    rnd = random.Random(2024)
+    for _ in range(300):
+        k = rnd.randint(3, 9)
+        n = k + rnd.randint(0, 8)
+        label = rnd.sample(range(1, 5 * n), n)
+        edges = [(label[i], label[(i + 1) % k]) for i in range(k)]
+        edges += [(label[rnd.randrange(v)], label[v]) for v in range(k, n)]
+        rnd.shuffle(edges)
+        g = Graph((), edges)
+        (record,) = classify(g).per_component
+        assert record.cycle == enumerate_cycles(g)[0]
 
 
 def test_edge_name_round_trip():
