@@ -11,7 +11,8 @@ from .graphs import (ClosedWalk, Graph, GraphClass, classify, components,
                      enumerate_cycles, is_bipartite, parse_edge_list,
                      serialize_edge_list)
 from .intmat import (IntMatrix, IntVector, det, is_totally_unimodular,
-                     kernel_lattice_basis, matrix_circuits, rank)
+                     kernel_lattice_basis, matrix_circuits,
+                     matrix_graver, rank)
 from .binomials import (Binomial, Monomial, TermOrder, VarId, buchberger,
                         indispensable_monomials, initial_ideal, natural_order,
                         normal_form, parse_binomial, parse_monomial, toric_gb)
@@ -33,8 +34,8 @@ __all__ = [
     "graph_circuits", "graver", "heights", "incidence_config",
     "indispensable_monomials", "initial_ideal", "is_bipartite",
     "is_primitive", "is_totally_unimodular", "kernel_lattice_basis",
-    "matrix_circuits", "mobius", "natural_order", "normal_form",
-    "parse_binomial", "parse_edge_list", "parse_monomial", "prism", "rank",
-    "serialize_edge_list", "toric_gb", "ugb", "verify_PG_equals_IH",
-    "verify_extreme_rays", "walk_binomial",
+    "matrix_circuits", "matrix_graver", "mobius", "natural_order",
+    "normal_form", "parse_binomial", "parse_edge_list", "parse_monomial",
+    "prism", "rank", "serialize_edge_list", "toric_gb", "ugb",
+    "verify_PG_equals_IH", "verify_extreme_rays", "walk_binomial",
 ]

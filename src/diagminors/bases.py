@@ -1,18 +1,17 @@
 """Circuits, Graver bases, walk binomials and universal Groebner bases.
 
 The universal Groebner basis U(P_G) sits between the circuits and the
-Graver basis of the configuration A_G. For the graph classes that admit a
-host graph H, even closed walks of H pin U(P_G) exactly; everything else
-gets honest sandwich bounds.
+Graver basis of the configuration A_G, both read off its kernel lattice.
+For the graph classes that admit a host graph H, even closed walks of H
+pin U(P_G) exactly; everything else gets honest sandwich bounds.
 """
 
-from .binomials import (Binomial, Monomial, TermOrder, binomial_from_vector,
-                        binomial_vector, toric_gb, var_sort_key)
+from .binomials import Binomial, Monomial, binomial_from_vector
 from .constructions import build_H
-from .encoding import adegree, build_AG, edge_variables, VectorConfiguration
+from .encoding import adegree, build_AG, edge_variables
 from .graphs import ClosedWalk, classify, components, enumerate_cycles, \
     is_bipartite
-from .intmat import IntVector, matrix_circuits
+from .intmat import matrix_circuits, matrix_graver
 
 
 class BasisReport:
@@ -65,48 +64,9 @@ def circuits(cfg):
 
 
 def graver(cfg):
-    """Graver basis of a configuration via its Lawrence lifting.
-
-    The lifted configuration [[A, 0], [I, I]] has the property that any
-    reduced Groebner basis of its toric ideal consists of the elements
-    x^(u+) z^(u-) - x^(u-) z^(u+) with u running over the Graver basis of A,
-    so one Groebner computation followed by projection to the x-variables
-    yields the full Graver basis.
-    """
-    mat = cfg.matrix
-    xvars = cfg.variables
-    zvars = []
-    for k in range(1, mat.cols + 1):
-        name = "z_%d" % k
-        while name in xvars:
-            name += "_"
-        zvars.append(name)
-    cols = []
-    for k, x in enumerate(xvars):
-        vec = [mat.entries[r][k] for r in range(mat.rows)]
-        vec.extend(1 if t == k else 0 for t in range(mat.cols))
-        cols.append((x, IntVector(vec)))
-    for k, z in enumerate(zvars):
-        vec = [0] * mat.rows
-        vec.extend(1 if t == k else 0 for t in range(mat.cols))
-        cols.append((z, IntVector(vec)))
-    lifted = VectorConfiguration(cols)
-    ranking = sorted(xvars, key=var_sort_key) + zvars
-    order = TermOrder("degrevlex", ranking)
-    xset = set(xvars)
-    seen = {}
-    for g in toric_gb(lifted, order):
-        plus = Monomial((v, e) for v, e in g.plus.items if v in xset)
-        minus = Monomial((v, e) for v, e in g.minus.items if v in xset)
-        b = Binomial(plus, minus)
-        seen.setdefault(b, b)
-    return sorted(seen, key=lambda b: _vector_sort_key(b, xvars))
-
-
-def _vector_sort_key(b, variables):
-    vec = binomial_vector(b, variables)
-    support = tuple(k for k, e in enumerate(vec) if e)
-    return (len(support), support, tuple(vec))
+    """Graver basis of a configuration: conformally minimal kernel vectors."""
+    return [binomial_from_vector(v.entries, cfg.variables)
+            for v in matrix_graver(cfg.matrix)]
 
 
 def is_primitive(b, cfg):
@@ -195,15 +155,9 @@ def graph_circuits(h):
                     vs = (list(rot1) + [path[0]] + path[1:] + list(rot2[1:])
                           + [path[-1]] + list(reversed(path))[1:-1])
                     walks.append(ClosedWalk(vs))
-    out = []
-    seen = set()
-    for w in walks:
-        b = walk_binomial(w, host)
-        if b not in seen:
-            seen.add(b)
-            out.append(b)
-    out.sort(key=lambda b: (b.degree, str(b)))
-    return out
+    # str(b) is canonical, so the key orders distinct binomials strictly
+    return sorted({walk_binomial(w, host) for w in walks},
+                  key=lambda b: (b.degree, str(b)))
 
 
 def ugb(g):
@@ -219,12 +173,12 @@ def ugb(g):
     circuits below, Graver above, and the report says so rather than
     guessing.
     """
-    elements = []
     lower = []
     upper = []
     exact = True
     for record in classify(g).per_component:
         comp = record.graph
+        up = None
         if record.kind in ("tree", "unicyclic-even"):
             host = build_H(comp)
             els = [walk_binomial(w, host)
@@ -234,19 +188,14 @@ def ugb(g):
         elif record.bipartite:
             els = circuits(build_AG(comp))
         else:
-            lo = circuits(build_AG(comp))
-            up = graver(build_AG(comp))
+            cfg = build_AG(comp)
+            els, up = circuits(cfg), graver(cfg)
             exact = False
-            elements.extend(lo)
-            lower.extend(lo)
-            upper.extend(up)
-            continue
-        elements.extend(els)
         lower.extend(els)
-        upper.extend(els)
+        upper.extend(els if up is None else up)
     if exact:
-        return BasisReport(elements, "exact")
-    return BasisReport(elements, "sandwich", lower, upper)
+        return BasisReport(lower, "exact")
+    return BasisReport(lower, "sandwich", lower, upper)
 
 
 def degree_stats(report, g):

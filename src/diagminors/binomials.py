@@ -428,17 +428,6 @@ def binomial_from_vector(vec, variables):
     return Binomial(plus, minus)
 
 
-def binomial_vector(b, variables):
-    """Exponent vector of a binomial over an ordered variable tuple."""
-    pos = {v: k for k, v in enumerate(variables)}
-    vec = [0] * len(variables)
-    for v, e in b.plus.items:
-        vec[pos[v]] += e
-    for v, e in b.minus.items:
-        vec[pos[v]] -= e
-    return vec
-
-
 def toric_gb(cfg, order):
     """Reduced Groebner basis of the toric ideal of a vector configuration.
 

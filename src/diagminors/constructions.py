@@ -12,7 +12,7 @@ from collections import namedtuple
 from itertools import combinations
 
 from .encoding import heights
-from .graphs import Graph, classify, components
+from .graphs import Graph, classify, component_labels, components
 
 
 ROLES = ("copy-1", "copy-2", "rung", "twisted")
@@ -65,7 +65,7 @@ def prism(w, stride=None):
     edges. The stride parameter fixes the q-label offset so that several
     constructions over pieces of one graph can share a label scheme.
     """
-    if len(components(w)) != 1:
+    if set(component_labels(w).values()) != {0}:
         raise ValueError("prism needs a connected graph; apply per component")
     s = stride if stride is not None else max(w.vertices) + 1
     edges = []

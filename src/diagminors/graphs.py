@@ -61,7 +61,8 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u, v):
-        return edge_key(u, v) in set(self.edges)
+        u, v = edge_key(u, v)
+        return v in self._adj.get(u, ())
 
     @property
     def n(self):
@@ -161,28 +162,39 @@ class GraphClass:
         return "GraphClass(%s)" % (", ".join(self.kinds) or "empty")
 
 
-def components(g):
-    """Connected components as induced subgraphs, ascending by min label."""
-    remaining = set(g.vertices)
-    out = []
+def component_labels(g):
+    """Index of each vertex's component, numbered in order of least vertex."""
+    label = {}
+    count = 0
     for root in g.vertices:
-        if root not in remaining:
+        if root in label:
             continue
-        comp = {root}
+        label[root] = count
         stack = [root]
         while stack:
             v = stack.pop()
             for w in g.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
+                if w not in label:
+                    label[w] = count
                     stack.append(w)
-        remaining -= comp
-        edges = [e for e in g.edges if e[0] in comp]
-        names = None
-        if g.edge_names is not None:
-            names = {e: g.edge_names[e] for e in edges if e in g.edge_names}
-        out.append(Graph(sorted(comp), edges, names))
-    return out
+        count += 1
+    return label
+
+
+def components(g):
+    """Connected components as induced subgraphs, ascending by min label,
+    split off g in one pass that keeps its vertex, edge and name order."""
+    label = component_labels(g)
+    pieces = [([], [], None if g.edge_names is None else {})
+              for _ in range(len(set(label.values())))]
+    for v in g.vertices:
+        pieces[label[v]][0].append(v)
+    for e in g.edges:
+        _, edges, names = pieces[label[e[0]]]
+        edges.append(e)
+        if names is not None and e in g.edge_names:
+            names[e] = g.edge_names[e]
+    return [Graph(*piece) for piece in pieces]
 
 
 def bipartition(g):
@@ -216,7 +228,7 @@ def is_bipartite(g):
 
 def cycle_space_rank(g):
     """Dimension of the cycle space: m - n + number of components."""
-    return g.m - g.n + len(components(g))
+    return g.m - g.n + len(set(component_labels(g).values()))
 
 
 def enumerate_cycles(g, parity="all"):

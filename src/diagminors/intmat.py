@@ -3,7 +3,8 @@
 Everything here works over arbitrary-precision integers: ranks and
 determinants via fraction-free (Bareiss) elimination, total unimodularity
 with explicit witness minors, integer kernel lattice bases via unimodular
-column operations, and minimal-support kernel vectors (circuits).
+column operations, minimal-support kernel vectors (circuits), and
+conformally minimal kernel vectors (the Graver basis) by completion.
 """
 
 from collections import namedtuple
@@ -39,18 +40,13 @@ class IntVector:
     @property
     def is_primitive(self):
         """True when the gcd of the nonzero entries is 1."""
-        g = 0
-        for i in self.support:
-            g = gcd(g, self.entries[i])
-        return g == 1
+        return gcd(*self.entries) == 1
 
     def primitive_normalized(self):
         """Divide out the content and make the first nonzero entry positive."""
         if not self.support:
             return self
-        g = 0
-        for i in self.support:
-            g = gcd(g, self.entries[i])
+        g = gcd(*self.entries)
         if self.entries[self.support[0]] < 0:
             g = -g
         return IntVector(e // g for e in self.entries)
@@ -324,5 +320,52 @@ def matrix_circuits(m):
         vec = IntVector(sum(w[i] * kern[i][j] for i in range(k))
                         for j in range(n)).primitive_normalized()
         found[vec.entries] = vec
-    out = sorted(found.values(), key=lambda v: (len(v.support), v.support))
-    return out
+    return sorted(found.values(), key=lambda v: (len(v.support), v.support))
+
+
+def _signs(v):
+    """Bit masks of the positive and of the negative entries of v."""
+    return (sum(1 << i for i, e in enumerate(v) if e > 0),
+            sum(1 << i for i, e in enumerate(v) if e < 0))
+
+
+def _conformally_below(u, v):
+    """Whether each entry of u is zero or has v's sign and no larger size."""
+    return all(0 <= a <= b or b <= a <= 0 for a, b in zip(u, v))
+
+
+def matrix_graver(m):
+    """All conformally minimal nonzero kernel vectors, one per sign class.
+
+    Each is primitive with its first nonzero entry positive, sorted by
+    (support size, support, entries). Completion (Pottier 1996; Hemmecke
+    2002): from a lattice basis and its negatives, every pairwise sum is
+    reduced by subtracting elements conformally below it, and a nonzero
+    remainder joins the set. Pairs of compatible signs are skipped, their
+    sum being conformal already. The completed set contains the Graver
+    basis as its conformally minimal part. Subtracting only shrinks the
+    remainder, so one pass over the set reduces it.
+    """
+    found = []
+    for v in kernel_lattice_basis(m):
+        found += [v.entries, tuple(-e for e in v.entries)]
+    signs = [_signs(v) for v in found]
+    for k, f in enumerate(found):  # sees the elements appended below
+        fpos, fneg = signs[k]
+        for (gpos, gneg), g in zip(signs[:k], found):
+            if not (fpos & gneg or fneg & gpos):
+                continue
+            s = tuple(a + b for a, b in zip(f, g))
+            spos, sneg = _signs(s)
+            for (hpos, hneg), h in zip(signs, found):
+                if not (hpos & ~spos or hneg & ~sneg):
+                    while _conformally_below(h, s):
+                        s = tuple(b - a for a, b in zip(h, s))
+                    spos, sneg = _signs(s)
+            if spos or sneg:
+                found.append(s)
+                signs.append((spos, sneg))
+    zero = (0,) * m.cols
+    out = [IntVector(v) for v in found if v > zero and not any(
+        u != v and _conformally_below(u, v) for u in found)]
+    return sorted(out, key=lambda v: (len(v.support), v.support, v.entries))

@@ -5,12 +5,14 @@ import pytest
 from diagminors.bases import (BasisReport, circuits, degree_stats,
                               graph_circuits, graver, is_primitive, ugb,
                               walk_binomial)
-from diagminors.binomials import (Binomial, Monomial, buchberger,
+from diagminors.binomials import (Binomial, Monomial, TermOrder, buchberger,
                                   natural_order, normal_form, parse_binomial,
-                                  parse_monomial, var_sort_key)
+                                  parse_monomial, toric_gb, var_sort_key)
 from diagminors.constructions import prism
-from diagminors.encoding import build_AG, generators_PG, incidence_config
+from diagminors.encoding import (VectorConfiguration, build_AG, generators_PG,
+                                 incidence_config)
 from diagminors.graphs import ClosedWalk, Graph, enumerate_cycles
+from diagminors.intmat import IntVector
 from diagminors import fixtures
 
 
@@ -44,6 +46,68 @@ def test_graver_prism_incidence():
     assert witness.degree == 5
     assert is_primitive(witness, cfg)
     assert witness not in set(circuits(cfg))
+
+
+def _lawrence_graver(cfg):
+    """Graver basis by the Lawrence lifting, an independent reference.
+
+    Any reduced Groebner basis of the toric ideal of [[A, 0], [I, I]]
+    consists of x^(u+) z^(u-) - x^(u-) z^(u+) with u over the Graver basis
+    of A; projecting to the x-variables gives that basis, sorted here by
+    (support size, support, exponent vector).
+    """
+    mat = cfg.matrix
+    xvars = cfg.variables
+    zvars = []
+    for k in range(1, mat.cols + 1):
+        name = "z_%d" % k
+        while name in xvars:
+            name += "_"
+        zvars.append(name)
+    cols = []
+    for k, x in enumerate(xvars):
+        vec = [mat.entries[r][k] for r in range(mat.rows)]
+        vec.extend(1 if t == k else 0 for t in range(mat.cols))
+        cols.append((x, IntVector(vec)))
+    for k, z in enumerate(zvars):
+        vec = [0] * mat.rows
+        vec.extend(1 if t == k else 0 for t in range(mat.cols))
+        cols.append((z, IntVector(vec)))
+    lifted = VectorConfiguration(cols)
+    ranking = sorted(xvars, key=var_sort_key) + zvars
+    order = TermOrder("degrevlex", ranking)
+    xset = set(xvars)
+    seen = {}
+    for g in toric_gb(lifted, order):
+        plus = Monomial((v, e) for v, e in g.plus.items if v in xset)
+        minus = Monomial((v, e) for v, e in g.minus.items if v in xset)
+        b = Binomial(plus, minus)
+        seen.setdefault(b, b)
+    pos = {v: k for k, v in enumerate(xvars)}
+
+    def key(b):
+        vec = [0] * len(xvars)
+        for v, e in b.plus.items:
+            vec[pos[v]] += e
+        for v, e in b.minus.items:
+            vec[pos[v]] -= e
+        support = tuple(k for k, e in enumerate(vec) if e)
+        return (len(support), support, tuple(vec))
+
+    return sorted(seen, key=key)
+
+
+def test_graver_matches_lawrence_lifting():
+    battery = fixtures.fixture_battery()
+    configs = [build_AG(battery[name]) for name in (
+        "k2", "path-3", "star-3", "triangle", "path-4", "star-4",
+        "triangle-pendant", "cycle-4", "path-5", "star-5")]
+    configs.append(incidence_config(prism(fixtures.triangle_pendant())))
+    # a triangle with pendant edges at two different vertices
+    configs.append(build_AG(Graph((), [(1, 2), (2, 3), (1, 3), (1, 4),
+                                       (2, 5)])))
+    for cfg in configs:
+        assert graver(cfg) == _lawrence_graver(cfg)
 
 
 def test_graver_equals_circuits_when_bipartite():

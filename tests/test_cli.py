@@ -261,6 +261,23 @@ def test_circuits_and_graver(capsys, k2_file):
         assert data["elements"][0]["plus"] == {"x11": 1, "x22": 1}
 
 
+def test_graver_equals_circuits_on_six_cycle(capsys, tmp_path):
+    # a bipartite A_G is totally unimodular: its Graver basis is its circuits
+    p = tmp_path / "c6.edges"
+    p.write_text(serialize_edge_list(fixtures.cycle(6)))
+    for fmt in ("text", "json"):
+        outs = []
+        for verb in ("graver", "circuits"):
+            rc, out, _ = _run(capsys, [verb, str(p), "--format", fmt])
+            assert rc == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        if fmt == "text":
+            assert len(outs[0].splitlines()) == 31
+        else:
+            assert json.loads(outs[0])["count"] == 31
+
+
 def test_ugb_exact_and_sandwich(capsys, tri_file, trip_file):
     rc, out, _ = _run(capsys, ["ugb", tri_file])
     assert rc == 0

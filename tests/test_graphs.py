@@ -43,6 +43,48 @@ def test_components_preserve_edges_and_names():
     assert comps[1].edge_names == {(4, 5): (9, 9)}
 
 
+def _filtered_components(g):
+    """Reference split: one search per component, then a filter of g.edges."""
+    remaining = set(g.vertices)
+    out = []
+    for root in g.vertices:
+        if root not in remaining:
+            continue
+        comp = {root}
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in g.neighbors(v):
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        remaining -= comp
+        edges = [e for e in g.edges if e[0] in comp]
+        names = {e: g.edge_names[e] for e in edges if e in g.edge_names}
+        out.append((tuple(sorted(comp)), tuple(edges), names))
+    return out
+
+
+def test_components_match_per_component_filter():
+    rnd = random.Random(5150)
+    for _ in range(5):
+        labels = rnd.sample(range(1000), rnd.randint(300, 400))
+        edges = []
+        for k, v in enumerate(labels):
+            if k and rnd.random() < 0.7:
+                edges.append((v, rnd.choice(labels[:k])))
+        rnd.shuffle(edges)
+        names = {e: (rnd.randint(1, 99), rnd.randint(1, 99))
+                 for e in edges if rnd.random() < 0.8}
+        g = Graph(labels, edges, names)
+        want = _filtered_components(g)
+        assert len(want) >= 100
+        got = components(g)
+        assert [(c.vertices, c.edges, c.edge_names) for c in got] == want
+        assert [list(c.edge_names) for c in got] == [list(w[2]) for w in want]
+        assert cycle_space_rank(g) == 0
+
+
 def test_bipartition_and_classify():
     assert bipartition(fixtures.k23()) == ((1, 2), (3, 4, 5))
     assert bipartition(fixtures.triangle()) is None

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from diagminors.intmat import (IntMatrix, IntVector, det, is_totally_unimodular,
-                               kernel_lattice_basis, matrix_circuits, rank)
+                               kernel_lattice_basis, matrix_circuits,
+                               matrix_graver, rank)
 
 
 def _rank_fractions(entries):
@@ -188,13 +189,18 @@ def test_matrix_circuits_single_edge():
     assert matrix_circuits(IntMatrix([[1, 0], [0, 1]])) == []
 
 
-def test_matrix_circuits_properties_random():
+def _random_matrices():
+    """The seeded matrices the circuit and Graver property tests share."""
     rnd = random.Random(6060)
     for _ in range(25):
         nrows = rnd.randint(1, 3)
         ncols = rnd.randint(2, 6)
-        m = IntMatrix([[rnd.randint(-2, 2) for _ in range(ncols)]
-                       for _ in range(nrows)])
+        yield IntMatrix([[rnd.randint(-2, 2) for _ in range(ncols)]
+                         for _ in range(nrows)])
+
+
+def test_matrix_circuits_properties_random():
+    for m in _random_matrices():
         out = matrix_circuits(m)
         keys = [(len(v.support), v.support) for v in out]
         assert keys == sorted(keys)
@@ -206,3 +212,50 @@ def test_matrix_circuits_properties_random():
             assert all(m.row(i).dot(v) == 0 for i in range(m.rows))
         for a, b in combinations(supports, 2):
             assert not a < b and not b < a
+
+
+def _below(u, v):
+    """Conformal order: u's entries are zero or v's sign, none larger."""
+    return all(a == 0 or (a * b > 0 and abs(a) <= abs(b))
+               for a, b in zip(u, v))
+
+
+def test_matrix_graver_properties_random():
+    for m in _random_matrices():
+        out = matrix_graver(m)
+        keys = [(len(v.support), v.support, v.entries) for v in out]
+        assert keys == sorted(set(keys))
+        for v in out:
+            assert v.support
+            assert v.is_primitive
+            assert v.entries[v.support[0]] > 0
+            assert all(m.row(i).dot(v) == 0 for i in range(m.rows))
+        signed = [v.entries for v in out] + [
+            tuple(-e for e in v.entries) for v in out]
+        for u, v in combinations(signed, 2):
+            assert not _below(u, v) and not _below(v, u)
+        assert set(matrix_circuits(m)) <= set(out)
+    assert matrix_graver(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == []
+
+
+def test_matrix_graver_box_oracle():
+    # Inside a box, the Graver elements are exactly the conformally minimal
+    # nonzero kernel vectors of the box: whatever lies below a box vector
+    # lies in the box too.
+    mats = [IntMatrix([[1, 2, 3]]), IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]])]
+    mats += [m for m in _random_matrices() if m.cols <= 4]
+    for m in mats:
+        box = [v for v in product(range(-4, 5), repeat=m.cols)
+               if any(v) and all(sum(a * b for a, b in zip(row, v)) == 0
+                                 for row in m.entries)]
+        minimal = {IntVector(v).primitive_normalized() for v in box
+                   if not any(u != v and _below(u, v) for u in box)}
+        inside = {v for v in matrix_graver(m)
+                  if all(abs(e) <= 4 for e in v.entries)}
+        assert inside == minimal
+    assert [v.entries for v in matrix_graver(IntMatrix([[1, 2, 3]]))] == [
+        (2, -1, 0), (3, 0, -1), (0, 3, -2), (1, -2, 1), (1, 1, -1)]
+    # twisted cubic: the four circuits and x1*x4 - x2*x3
+    cubic = IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]])
+    assert [v.entries for v in matrix_graver(cubic)] == [
+        v.entries for v in matrix_circuits(cubic)] + [(1, -1, -1, 1)]

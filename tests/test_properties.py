@@ -1,0 +1,51 @@
+"""Property tests on random small graphs: two basis engines, one answer.
+
+Graver by completion and circuits by the hyperplane scan share only the
+kernel lattice basis, so agreement between them checks both.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from diagminors.bases import circuits, graver
+from diagminors.encoding import build_AG
+from diagminors.graphs import Graph
+
+LABELS = range(1, 7)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Up to 6 edges between the parts {1..k} and {k+1..6}."""
+    k = draw(st.integers(1, 5))
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(k + 1, 7)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6,
+                          unique=True))
+    return Graph((), edges)
+
+
+@st.composite
+def odd_cycle_graphs(draw):
+    """A triangle or pentagon on shuffled labels plus extra edges, at most 6."""
+    labels = draw(st.permutations(LABELS))
+    k = draw(st.sampled_from((3, 5)))
+    edges = [tuple(sorted((labels[t], labels[(t + 1) % k])))
+             for t in range(k)]
+    others = [(i, j) for i in LABELS for j in LABELS
+              if i < j and (i, j) not in edges]
+    edges += draw(st.lists(st.sampled_from(others), max_size=6 - k,
+                           unique=True))
+    return Graph((), edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(bipartite_graphs())
+def test_graver_equals_circuits_on_bipartite_graphs(g):
+    cfg = build_AG(g)
+    assert graver(cfg) == circuits(cfg)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(odd_cycle_graphs())
+def test_circuits_inside_graver_on_non_bipartite_graphs(g):
+    cfg = build_AG(g)
+    assert set(circuits(cfg)) <= set(graver(cfg))
