@@ -1,9 +1,10 @@
 """Circuits, Graver bases, walk binomials and universal Groebner bases.
 
 The universal Groebner basis U(P_G) sits between the circuits and the
-Graver basis of the configuration A_G, both read off its kernel lattice.
-For the graph classes that admit a host graph H, even closed walks of H
-pin U(P_G) exactly; everything else gets honest sandwich bounds.
+Graver basis of the configuration A_G, both read off one Graver basis of
+its kernel lattice. Even closed walks of a host graph H pin U(P_G)
+exactly, as the circuits do for bipartite G; everything else gets honest
+sandwich bounds.
 """
 
 from .binomials import Binomial, Monomial, binomial_from_vector
@@ -11,7 +12,7 @@ from .constructions import build_H
 from .encoding import adegree, build_AG, edge_variables
 from .graphs import ClosedWalk, classify, components, enumerate_cycles, \
     is_bipartite
-from .intmat import matrix_circuits, matrix_graver
+from .intmat import matrix_circuits, matrix_graver, support_minimal
 
 
 class BasisReport:
@@ -57,16 +58,18 @@ class BasisReport:
         return "BasisReport(%s, %d elements)" % (self.status, self.count)
 
 
+def _binomials(vectors, cfg):
+    return [binomial_from_vector(v.entries, cfg.variables) for v in vectors]
+
+
 def circuits(cfg):
     """Circuit binomials of a configuration: minimal-support kernel vectors."""
-    return [binomial_from_vector(v.entries, cfg.variables)
-            for v in matrix_circuits(cfg.matrix)]
+    return _binomials(matrix_circuits(cfg.matrix), cfg)
 
 
 def graver(cfg):
     """Graver basis of a configuration: conformally minimal kernel vectors."""
-    return [binomial_from_vector(v.entries, cfg.variables)
-            for v in matrix_graver(cfg.matrix)]
+    return _binomials(matrix_graver(cfg.matrix), cfg)
 
 
 def is_primitive(b, cfg):
@@ -161,38 +164,35 @@ def graph_circuits(h):
 
 
 def ugb(g):
-    """Universal Groebner basis of P_G, exact where the host theory applies.
+    """Universal Groebner basis of P_G, exact where the theory pins it.
 
-    Components contribute independently (their variables are disjoint):
-    trees and bipartite unicyclic components via the even cycles of their
-    host graph (for a tree that is its prism); a lone odd cycle via the
-    circuit walks of its host graph, its prism; any other bipartite
-    component via the circuits of A_G (every initial ideal is squarefree
-    there and the universal basis collapses onto the circuits). What
-    remains (non-bipartite with extra structure) is only sandwiched:
-    circuits below, Graver above, and the report says so rather than
-    guessing.
+    Components contribute independently (their variables are disjoint), by
+    one of four routes: a tree, or a bipartite unicyclic component, via the
+    even cycles of its host graph (for a tree its prism); a lone odd cycle
+    via the circuit walks of its prism; any other component via one Graver
+    basis of A_G, its support-minimal elements (the circuits) below and all
+    of it above. The bounds coincide for a bipartite component, so that
+    answer is exact; otherwise the report says it is only sandwiched.
     """
     lower = []
     upper = []
     exact = True
     for record in classify(g).per_component:
         comp = record.graph
-        up = None
         if record.kind in ("tree", "unicyclic-even"):
             host = build_H(comp)
-            els = [walk_binomial(w, host)
-                   for w in enumerate_cycles(host.graph, "even")]
+            els = up = [walk_binomial(w, host)
+                        for w in enumerate_cycles(host.graph, "even")]
         elif record.kind == "unicyclic-odd" and comp.n == record.cycle.length:
-            els = graph_circuits(build_H(comp))
-        elif record.bipartite:
-            els = circuits(build_AG(comp))
+            els = up = graph_circuits(build_H(comp))
         else:
             cfg = build_AG(comp)
-            els, up = circuits(cfg), graver(cfg)
-            exact = False
+            vectors = matrix_graver(cfg.matrix)
+            els = _binomials(support_minimal(vectors), cfg)
+            up = _binomials(vectors, cfg)
+            exact = exact and record.bipartite
         lower.extend(els)
-        upper.extend(els if up is None else up)
+        upper.extend(up)
     if exact:
         return BasisReport(lower, "exact")
     return BasisReport(lower, "sandwich", lower, upper)

@@ -1,8 +1,8 @@
 """Monomials, binomials with unit coefficients, term orders and Groebner bases.
 
 The variable set is {x_ii} for vertices and {x_ij, x_ji} for edges {i, j};
-a variable is a VarId pair (i, j). Auxiliary variables (saturation helpers,
-synthetic incidence columns) are plain strings, which sort after all VarIds.
+a variable is a VarId pair (i, j). Auxiliary variables (synthetic incidence
+columns) are plain strings, which sort after all VarIds.
 
 Every polynomial in sight is a pure difference of two coprime monomials, so
 Groebner computations reduce to monomial rewriting and stay coefficient-free.
@@ -12,7 +12,7 @@ import heapq
 from collections import namedtuple
 from typing import NamedTuple
 
-from .intmat import kernel_lattice_basis
+from .intmat import matrix_graver
 
 
 class VarId(NamedTuple):
@@ -105,12 +105,6 @@ class Monomial:
             if left < 0:
                 raise ValueError("%s does not divide %s" % (other, self))
             acc[v] = left
-        return Monomial(acc)
-
-    def erase(self, v):
-        """Drop one variable entirely."""
-        acc = dict(self._map)
-        acc.pop(v, None)
         return Monomial(acc)
 
     def __eq__(self, other):
@@ -408,19 +402,6 @@ def initial_ideal(basis, order):
                         all(m.is_squarefree for m in minimal))
 
 
-class _Elimination:
-    """Block order eliminating one auxiliary variable above an inner order."""
-
-    __slots__ = ("aux", "inner")
-
-    def __init__(self, aux, inner):
-        self.aux = aux
-        self.inner = inner
-
-    def key(self, m):
-        return (m.exponent(self.aux), self.inner.key(m.erase(self.aux)))
-
-
 def binomial_from_vector(vec, variables):
     """Binomial x^(v+) - x^(v-) for an integer kernel vector."""
     plus = Monomial((variables[k], e) for k, e in enumerate(vec) if e > 0)
@@ -431,27 +412,15 @@ def binomial_from_vector(vec, variables):
 def toric_gb(cfg, order):
     """Reduced Groebner basis of the toric ideal of a vector configuration.
 
-    Starts from a lattice basis of the integer kernel of cfg.matrix and
-    saturates by the product of all variables with a single auxiliary
-    variable t: the basis binomials plus t*(product of variables) - 1 are
-    run through Buchberger under an elimination order for t, and the t-free
-    part of the result is the reduced basis under `order`. Configurations
-    with linearly independent columns have a zero ideal (empty basis).
+    The Graver basis of cfg.matrix is a universal Groebner basis (Sturmfels
+    1996, ch. 7), so interreducing its elements, each oriented by `order`,
+    gives the reduced basis: sorted by ascending lead, each element with its
+    lead as its plus side. Configurations with linearly independent columns
+    have a zero ideal (empty basis).
     """
-    variables = cfg.variables
-    basis = kernel_lattice_basis(cfg.matrix)
-    if not basis:
-        return []
-    aux = "t"
-    while aux in variables:
-        aux = aux + "_"
-    gens = [binomial_from_vector(v.entries, variables) for v in basis]
-    everything = Monomial([(aux, 1)] + [(v, 1) for v in variables])
-    gens.append(Binomial(everything, ONE))
-    full = buchberger(gens, _Elimination(aux, order))
-    # A t-free lead means a t-free element, and on those the elimination
-    # order agrees with `order`, so the kept elements are already sorted.
-    return [g for g in full if g.plus.exponent(aux) == 0]
+    rules = [oriented(order, binomial_from_vector(v.entries, cfg.variables))
+             for v in matrix_graver(cfg.matrix)]
+    return _interreduce(rules, order)
 
 
 def indispensable_monomials(g):

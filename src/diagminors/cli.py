@@ -2,7 +2,8 @@
 
 Output is deterministic and byte-stable: the same invocation on the same
 input always prints the same bytes. Exit codes: 0 success, 1 verification
-mismatch, 2 usage or parse error, 3 precondition violation.
+mismatch, 2 usage or parse error, 3 precondition violation or a
+computation that ran out of stack or memory.
 """
 
 import argparse
@@ -350,8 +351,8 @@ def main(argv=None):
         return USAGE
     try:
         return _HANDLERS[args.verb](args, g)
-    except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (ValueError, RecursionError, MemoryError) as exc:
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return PRECONDITION
 
 

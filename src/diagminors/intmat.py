@@ -3,8 +3,8 @@
 Everything here works over arbitrary-precision integers: ranks and
 determinants via fraction-free (Bareiss) elimination, total unimodularity
 with explicit witness minors, integer kernel lattice bases via unimodular
-column operations, minimal-support kernel vectors (circuits), and
-conformally minimal kernel vectors (the Graver basis) by completion.
+column operations, conformally minimal kernel vectors (the Graver basis)
+by completion, and the circuits as its support-minimal elements.
 """
 
 from collections import namedtuple
@@ -290,39 +290,6 @@ def kernel_lattice_basis(m):
     return [IntVector(v).primitive_normalized() for v in raw]
 
 
-def matrix_circuits(m):
-    """All minimal-support nonzero kernel vectors, one per sign class.
-
-    A support is minimal when no other nonzero kernel vector has a strictly
-    smaller support. Every returned vector is primitive with its first
-    nonzero entry positive; the result is sorted by (support size, support).
-
-    The enumeration runs in the kernel: with K a kernel lattice basis
-    (k x n), the minimal supports are exactly the complements of the
-    hyperplanes of K's column matroid. Every (k-1)-subset of columns
-    spanning such a hyperplane has a one-dimensional left kernel w, and
-    w.K is the circuit supported off that hyperplane; conversely every
-    circuit arises from one of its zero-set's independent (k-1)-subsets.
-    """
-    kb = kernel_lattice_basis(m)
-    k = len(kb)
-    if k == 0:
-        return []
-    n = m.cols
-    kern = [v.entries for v in kb]
-    found = {}
-    for subset in combinations(range(n), k - 1):
-        cols = [[kern[i][j] for i in range(k)] for j in subset]
-        left = _kernel_columns(cols, k - 1, k) if subset else [[1]]
-        if len(left) != 1:
-            continue
-        w = left[0]
-        vec = IntVector(sum(w[i] * kern[i][j] for i in range(k))
-                        for j in range(n)).primitive_normalized()
-        found[vec.entries] = vec
-    return sorted(found.values(), key=lambda v: (len(v.support), v.support))
-
-
 def _signs(v):
     """Bit masks of the positive and of the negative entries of v."""
     return (sum(1 << i for i, e in enumerate(v) if e > 0),
@@ -369,3 +336,23 @@ def matrix_graver(m):
     out = [IntVector(v) for v in found if v > zero and not any(
         u != v and _conformally_below(u, v) for u in found)]
     return sorted(out, key=lambda v: (len(v.support), v.support, v.entries))
+
+
+def matrix_circuits(m):
+    """All minimal-support nonzero kernel vectors, one per sign class.
+
+    Each is primitive with its first nonzero entry positive. Every circuit
+    is a Graver element and every kernel support contains a circuit support
+    (Sturmfels 1996, ch. 4), so these are the Graver elements of minimal
+    support, in Graver order: by (support size, support), as a circuit
+    support carries one circuit. The Graver basis can be far larger than
+    the circuits, but not for A_G on at most 7 vertices (bowtie: 57 to 43).
+    """
+    return support_minimal(matrix_graver(m))
+
+
+def support_minimal(vectors):
+    """The vectors whose support strictly contains no other one's, in order."""
+    supports = [set(v.support) for v in vectors]
+    return [v for v, s in zip(vectors, supports)
+            if not any(t < s for t in supports)]

@@ -7,13 +7,14 @@ from diagminors.bases import (BasisReport, circuits, degree_stats,
                               walk_binomial)
 from diagminors.binomials import (Binomial, Monomial, TermOrder, buchberger,
                                   natural_order, normal_form, parse_binomial,
-                                  parse_monomial, toric_gb, var_sort_key)
+                                  parse_monomial, var_sort_key)
 from diagminors.constructions import prism
 from diagminors.encoding import (VectorConfiguration, build_AG, generators_PG,
                                  incidence_config)
 from diagminors.graphs import ClosedWalk, Graph, enumerate_cycles
 from diagminors.intmat import IntVector
 from diagminors import fixtures
+from references import _saturation_toric_gb
 
 
 def _parse_set(strings):
@@ -54,7 +55,9 @@ def _lawrence_graver(cfg):
     Any reduced Groebner basis of the toric ideal of [[A, 0], [I, I]]
     consists of x^(u+) z^(u-) - x^(u-) z^(u+) with u over the Graver basis
     of A; projecting to the x-variables gives that basis, sorted here by
-    (support size, support, exponent vector).
+    (support size, support, exponent vector). The lifted basis comes from
+    the saturation reference, since the package's toric_gb itself starts
+    from the Graver basis.
     """
     mat = cfg.matrix
     xvars = cfg.variables
@@ -78,7 +81,7 @@ def _lawrence_graver(cfg):
     order = TermOrder("degrevlex", ranking)
     xset = set(xvars)
     seen = {}
-    for g in toric_gb(lifted, order):
+    for g in _saturation_toric_gb(lifted, order):
         plus = Monomial((v, e) for v, e in g.plus.items if v in xset)
         minus = Monomial((v, e) for v, e in g.minus.items if v in xset)
         b = Binomial(plus, minus)

@@ -1,5 +1,6 @@
 """Command line: verbs, formats, exit codes, byte stability."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -306,6 +307,24 @@ def test_verify(capsys, k2_file, trip_file, theta_file):
     assert rc == 3 and "no graph H exists" in err
 
 
+def test_resource_errors_exit_3(capsys, tmp_path, monkeypatch):
+    # the prism of a 600-vertex path has cycles longer than the recursion
+    # limit allows the cycle enumeration to follow
+    p = tmp_path / "p600.edges"
+    p.write_text(serialize_edge_list(fixtures.path(600)))
+    rc, out, err = _run(capsys, ["ugb", str(p)])
+    assert rc == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+    def exhausted(args, g):
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._HANDLERS, "gens", exhausted)
+    rc, out, err = _run(capsys, ["gens", str(p)])
+    assert (rc, out, err) == (3, "", "error: MemoryError\n")
+
+
 def test_parse_and_usage_errors(capsys, tmp_path):
     rc, _, err = _run(capsys, ["gens", str(tmp_path / "missing.edges")])
     assert rc == 2 and "error:" in err
@@ -331,6 +350,98 @@ def test_json_round_trips(capsys, trip_file):
                  ["verify", trip_file]):
         rc, out, _ = _run(capsys, argv + ["--format", "json"])
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# First 16 hex digits of the sha256 of stdout, (text, json), for the basis
+# verbs on every fixture_battery() graph, as printed before circuits were
+# read off the Graver basis. The decorated-six-cycle circuits pair is the
+# exception: the hyperplane scan in tests/references.py needs 6e8 subsets
+# there, so its 123 circuits were checked instead against the walk route of
+# ugb (the graph is bipartite, so the two agree) and each by the rank of
+# its support columns.
+BASIS_DIGESTS = {
+    ("k2", "circuits"): ("984c08d62ac582c0", "d94a1a226c7fb80e"),
+    ("k2", "graver"): ("984c08d62ac582c0", "d94a1a226c7fb80e"),
+    ("k2", "ugb"): ("ab317ef119fc8e4e", "fe33f424adade2ea"),
+    ("triangle", "circuits"): ("98e7b28b224c04d2", "2abf125f2fcef2f0"),
+    ("triangle", "graver"): ("98e7b28b224c04d2", "2abf125f2fcef2f0"),
+    ("triangle", "ugb"): ("999683df38e8e9d3", "7dc1b3714d25a6c6"),
+    ("triangle-pendant", "circuits"): ("a7610bb0e00017e6", "f660a87841b5b42e"),
+    ("triangle-pendant", "graver"): ("74dfc26e524d1ddd", "3602e62a8129e333"),
+    ("triangle-pendant", "ugb"): ("37e27c6c1b4bbb3a", "af697735d0330571"),
+    ("five-vertex-example", "circuits"): ("fae7d4fa8cb736db", "68ea1b10e04aa260"),
+    ("five-vertex-example", "graver"): ("fae7d4fa8cb736db", "68ea1b10e04aa260"),
+    ("five-vertex-example", "ugb"): ("9b892bf610bebc0c", "f0f35424a120769b"),
+    ("pendant-cycle", "circuits"): ("5df022b840f636dd", "c2db0210df5db0a4"),
+    ("pendant-cycle", "graver"): ("5df022b840f636dd", "c2db0210df5db0a4"),
+    ("pendant-cycle", "ugb"): ("74717d93df810173", "71491452b6c8114e"),
+    ("decorated-six-cycle", "circuits"): ("220aa06ba58552ca", "220790aedb29b769"),
+    ("decorated-six-cycle", "graver"): ("220aa06ba58552ca", "220790aedb29b769"),
+    ("decorated-six-cycle", "ugb"): ("5f37f09781b3c8fe", "65f2a87263d3152e"),
+    ("theta", "circuits"): ("30cae5c06fa91c46", "6defcf9111a4b4b2"),
+    ("theta", "graver"): ("30cae5c06fa91c46", "6defcf9111a4b4b2"),
+    ("theta", "ugb"): ("510605acaf60c516", "621db2b9ff061fd6"),
+    ("k23", "circuits"): ("199db40d7f6f58dd", "ee9635b5a3dc1cee"),
+    ("k23", "graver"): ("199db40d7f6f58dd", "ee9635b5a3dc1cee"),
+    ("k23", "ugb"): ("dfecad6786f2f739", "c556c0b4ed07cecc"),
+    ("cycle-4", "circuits"): ("ac6c80bb73d1bf0c", "7203298b33860d5b"),
+    ("cycle-4", "graver"): ("ac6c80bb73d1bf0c", "7203298b33860d5b"),
+    ("cycle-4", "ugb"): ("18ca993bf61ce8a2", "90a48699019662f4"),
+    ("cycle-6", "circuits"): ("785ba7768a8dd275", "c0404ffc29d61302"),
+    ("cycle-6", "graver"): ("785ba7768a8dd275", "c0404ffc29d61302"),
+    ("cycle-6", "ugb"): ("a1ec85422bef6508", "44e89ebc823f3122"),
+    ("path-2", "circuits"): ("984c08d62ac582c0", "d94a1a226c7fb80e"),
+    ("path-2", "graver"): ("984c08d62ac582c0", "d94a1a226c7fb80e"),
+    ("path-2", "ugb"): ("ab317ef119fc8e4e", "fe33f424adade2ea"),
+    ("path-3", "circuits"): ("4c3a1c25f297e39a", "b58575399a4be724"),
+    ("path-3", "graver"): ("4c3a1c25f297e39a", "b58575399a4be724"),
+    ("path-3", "ugb"): ("ffef48eae03cb285", "482e4d1540434a49"),
+    ("path-4", "circuits"): ("bf6e13d4f7495a7d", "5185903e76b2778d"),
+    ("path-4", "graver"): ("bf6e13d4f7495a7d", "5185903e76b2778d"),
+    ("path-4", "ugb"): ("62f18251b0b95dc9", "8fbd9dcb39b94cc1"),
+    ("path-5", "circuits"): ("965f57c553079e29", "69694016617e36e1"),
+    ("path-5", "graver"): ("965f57c553079e29", "69694016617e36e1"),
+    ("path-5", "ugb"): ("2cbdd4a63f97bb85", "49b0245ce57b6d50"),
+    ("path-6", "circuits"): ("d68eecb3d0272127", "608adc2d3284c77c"),
+    ("path-6", "graver"): ("d68eecb3d0272127", "608adc2d3284c77c"),
+    ("path-6", "ugb"): ("39db53a8a32b295e", "564baaf9f1b83081"),
+    ("path-7", "circuits"): ("667e1f5da6f113f7", "b6ea8909ddb135f2"),
+    ("path-7", "graver"): ("667e1f5da6f113f7", "b6ea8909ddb135f2"),
+    ("path-7", "ugb"): ("e77a7338206eaf87", "ce57107b7860d0de"),
+    ("star-3", "circuits"): ("e906fc26eb02bced", "1ee8a3b78f7e385b"),
+    ("star-3", "graver"): ("e906fc26eb02bced", "1ee8a3b78f7e385b"),
+    ("star-3", "ugb"): ("7901fe72060a4836", "145509dad6539f53"),
+    ("star-4", "circuits"): ("79a6998ef7b7a43d", "a11e806eea9284ad"),
+    ("star-4", "graver"): ("79a6998ef7b7a43d", "a11e806eea9284ad"),
+    ("star-4", "ugb"): ("6d2a4581c76a4bdb", "d2aeaaff916b38c9"),
+    ("star-5", "circuits"): ("745a01b9c6a82d0a", "b23e980163634e0b"),
+    ("star-5", "graver"): ("745a01b9c6a82d0a", "b23e980163634e0b"),
+    ("star-5", "ugb"): ("1db5238835910cee", "f0fcfa816b91a435"),
+    ("star-6", "circuits"): ("991371f048dc5ed8", "598008025229aeb9"),
+    ("star-6", "graver"): ("991371f048dc5ed8", "598008025229aeb9"),
+    ("star-6", "ugb"): ("f9e7cc243b6e8319", "95dba87770f55b15"),
+    ("star-7", "circuits"): ("0f9294e86b4e529b", "9c012653b249eed6"),
+    ("star-7", "graver"): ("0f9294e86b4e529b", "9c012653b249eed6"),
+    ("star-7", "ugb"): ("04724d71529dc265", "01813c7e3dcef666"),
+    ("star-8", "circuits"): ("8ca4c4d393134cf8", "669c14da62dfa5d1"),
+    ("star-8", "graver"): ("8ca4c4d393134cf8", "669c14da62dfa5d1"),
+    ("star-8", "ugb"): ("77adcf089a9d4683", "6261fcc3ba7c7529"),
+}
+
+
+def test_basis_verbs_byte_pinned(capsys, tmp_path):
+    got = {}
+    for name, g in fixtures.fixture_battery().items():
+        p = tmp_path / (name + ".edges")
+        p.write_text(serialize_edge_list(g))
+        for verb in ("circuits", "graver", "ugb"):
+            digests = []
+            for fmt in ("text", "json"):
+                rc, out, _ = _run(capsys, [verb, str(p), "--format", fmt])
+                assert rc == 0
+                digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+            got[name, verb] = tuple(digests)
+    assert got == BASIS_DIGESTS
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ import pytest
 from diagminors.intmat import (IntMatrix, IntVector, det, is_totally_unimodular,
                                kernel_lattice_basis, matrix_circuits,
                                matrix_graver, rank)
+from references import _hyperplane_circuits
 
 
 def _rank_fractions(entries):
@@ -202,6 +203,7 @@ def _random_matrices():
 def test_matrix_circuits_properties_random():
     for m in _random_matrices():
         out = matrix_circuits(m)
+        assert out == _hyperplane_circuits(m)
         keys = [(len(v.support), v.support) for v in out]
         assert keys == sorted(keys)
         supports = [set(v.support) for v in out]
@@ -234,7 +236,7 @@ def test_matrix_graver_properties_random():
             tuple(-e for e in v.entries) for v in out]
         for u, v in combinations(signed, 2):
             assert not _below(u, v) and not _below(v, u)
-        assert set(matrix_circuits(m)) <= set(out)
+        assert set(_hyperplane_circuits(m)) <= set(out)
     assert matrix_graver(IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == []
 
 
@@ -258,4 +260,4 @@ def test_matrix_graver_box_oracle():
     # twisted cubic: the four circuits and x1*x4 - x2*x3
     cubic = IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]])
     assert [v.entries for v in matrix_graver(cubic)] == [
-        v.entries for v in matrix_circuits(cubic)] + [(1, -1, -1, 1)]
+        v.entries for v in _hyperplane_circuits(cubic)] + [(1, -1, -1, 1)]

@@ -1,14 +1,19 @@
 """Property tests on random small graphs: two basis engines, one answer.
 
-Graver by completion and circuits by the hyperplane scan share only the
-kernel lattice basis, so agreement between them checks both.
+The package's Graver basis (by completion) and the reference circuits (by
+the hyperplane scan in tests/references.py) share only the kernel lattice
+basis, so agreement between them checks both. The package's own circuits
+are a filter of its Graver basis, so they are held to the reference too.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from diagminors.bases import circuits, graver
+from diagminors.bases import circuits, graver, ugb
+from diagminors.binomials import binomial_from_vector
 from diagminors.encoding import build_AG
 from diagminors.graphs import Graph
+from diagminors import fixtures
+from references import _hyperplane_circuits
 
 LABELS = range(1, 7)
 
@@ -37,15 +42,34 @@ def odd_cycle_graphs(draw):
     return Graph((), edges)
 
 
+def _reference_circuits(cfg):
+    return [binomial_from_vector(v.entries, cfg.variables)
+            for v in _hyperplane_circuits(cfg.matrix)]
+
+
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(bipartite_graphs())
 def test_graver_equals_circuits_on_bipartite_graphs(g):
     cfg = build_AG(g)
-    assert graver(cfg) == circuits(cfg)
+    assert graver(cfg) == circuits(cfg) == _reference_circuits(cfg)
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
 @given(odd_cycle_graphs())
 def test_circuits_inside_graver_on_non_bipartite_graphs(g):
     cfg = build_AG(g)
-    assert set(circuits(cfg)) <= set(graver(cfg))
+    want = _reference_circuits(cfg)
+    assert circuits(cfg) == want
+    assert set(want) <= set(graver(cfg))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(bipartite_graphs())
+@example(fixtures.k23())
+def test_ugb_equals_circuits_on_bipartite_graphs(g):
+    # k23 is multicycle, so it takes the Graver branch of ugb
+    rep = ugb(g)
+    want = _reference_circuits(build_AG(g))
+    assert rep.status == "exact"
+    assert rep.count == len(want)
+    assert set(rep.elements) == set(want)
