@@ -18,7 +18,8 @@ from .binomials import (buchberger, indispensable_monomials, initial_ideal,
 from .constructions import build_H, mobius, prism, verify_PG_equals_IH
 from .encoding import (build_AG, generators_PG, heights, incidence_config,
                        verify_extreme_rays)
-from .graphs import classify, parse_edge_list, serialize_edge_list
+from .graphs import (classify, is_bipartite, parse_edge_list,
+                     serialize_edge_list)
 from .intmat import is_totally_unimodular, rank
 
 OK = 0
@@ -103,7 +104,9 @@ def _cmd_matrix(args, g):
     payload = {"columns": [format_var(v) for v in cfg.variables],
                "rows": [list(row) for row in mat.entries], "rank": r}
     if args.tu:
-        tu, witness = is_totally_unimodular(mat)
+        # A_G is [B | I] up to column order, so it is TU iff G is bipartite
+        tu, witness = ((True, None) if is_bipartite(g)
+                       else is_totally_unimodular(mat))
         lines.append("totally unimodular: %s" % ("yes" if tu else "no"))
         payload["totally_unimodular"] = tu
         payload["witness"] = None
@@ -131,18 +134,16 @@ def _cmd_construct(args, g):
         built = mobius(records[0].cycle, g)
     else:
         built = build_H(g)
-    text = serialize_edge_list(built.graph)
+    if args.format != "json":
+        sys.stdout.write(serialize_edge_list(built.graph))
+        return OK
     edges = []
     for u, v in built.graph.edges:
         name = built.graph.edge_names.get((u, v))
         edges.append({"u": u, "v": v,
                       "name": None if name is None else list(name),
                       "role": None if name is None else built.origin[name]})
-    payload = {"vertices": list(built.graph.vertices), "edges": edges}
-    if args.format == "json":
-        _emit(args, [], payload)
-    else:
-        sys.stdout.write(text)
+    _emit(args, [], {"vertices": list(built.graph.vertices), "edges": edges})
     return OK
 
 

@@ -296,9 +296,25 @@ def _signs(v):
             sum(1 << i for i, e in enumerate(v) if e < 0))
 
 
-def _conformally_below(u, v):
-    """Whether each entry of u is zero or has v's sign and no larger size."""
-    return all(0 <= a <= b or b <= a <= 0 for a, b in zip(u, v))
+def _reduce(s, found, signs):
+    """Reduce s by found; return the remainder with its sign masks.
+
+    Each h of found, or -h, is subtracted as often as it stays conformally
+    below s: the masks pick the orientation, the entry sizes the multiple.
+    Subtracting only shrinks s, so one pass over found reduces it.
+    """
+    spos, sneg = _signs(s)
+    for (hpos, hneg), h in zip(signs, found):
+        if not (hpos & ~spos or hneg & ~sneg):
+            q = min(b // a for a, b in zip(h, s) if a)
+        elif not (hneg & ~spos or hpos & ~sneg):
+            q = -min(-b // a for a, b in zip(h, s) if a)
+        else:
+            continue
+        if q:
+            s = tuple(b - q * a for a, b in zip(h, s))
+            spos, sneg = _signs(s)
+    return s, (spos, sneg)
 
 
 def matrix_graver(m):
@@ -306,35 +322,36 @@ def matrix_graver(m):
 
     Each is primitive with its first nonzero entry positive, sorted by
     (support size, support, entries). Completion (Pottier 1996; Hemmecke
-    2002): from a lattice basis and its negatives, every pairwise sum is
-    reduced by subtracting elements conformally below it, and a nonzero
-    remainder joins the set. Pairs of compatible signs are skipped, their
-    sum being conformal already. The completed set contains the Graver
-    basis as its conformally minimal part. Subtracting only shrinks the
-    remainder, so one pass over the set reduces it.
+    2002) on one representative of each pair {v, -v}: starting from a
+    lattice basis, for every pair of representatives f, g both f + g and
+    f - g are reduced by subtracting representatives, in either
+    orientation, conformally below them, and a nonzero remainder joins
+    the set. This completes the symmetric set of the representatives and
+    their negatives, since reducing -s gives the negative of reducing s and
+    the pairs (f, -f) and (f, f) give nothing new. A sum of two terms of
+    compatible signs is skipped, being conformal already. The completed set
+    contains the Graver basis as its conformally minimal part.
     """
-    found = []
-    for v in kernel_lattice_basis(m):
-        found += [v.entries, tuple(-e for e in v.entries)]
+    found = [v.entries for v in kernel_lattice_basis(m)]
     signs = [_signs(v) for v in found]
     for k, f in enumerate(found):  # sees the elements appended below
         fpos, fneg = signs[k]
         for (gpos, gneg), g in zip(signs[:k], found):
-            if not (fpos & gneg or fneg & gpos):
-                continue
-            s = tuple(a + b for a, b in zip(f, g))
-            spos, sneg = _signs(s)
-            for (hpos, hneg), h in zip(signs, found):
-                if not (hpos & ~spos or hneg & ~sneg):
-                    while _conformally_below(h, s):
-                        s = tuple(b - a for a, b in zip(h, s))
-                    spos, sneg = _signs(s)
-            if spos or sneg:
-                found.append(s)
-                signs.append((spos, sneg))
+            sums = []
+            if fpos & gneg or fneg & gpos:
+                sums.append(tuple(a + b for a, b in zip(f, g)))
+            if fpos & gpos or fneg & gneg:
+                sums.append(tuple(a - b for a, b in zip(f, g)))
+            for s in sums:
+                s, ssigns = _reduce(s, found, signs)
+                if any(ssigns):
+                    found.append(s)
+                    signs.append(ssigns)
     zero = (0,) * m.cols
-    out = [IntVector(v) for v in found if v > zero and not any(
-        u != v and _conformally_below(u, v) for u in found)]
+    out = [IntVector(v if v > zero else (-e for e in v))
+           for k, v in enumerate(found)
+           if _reduce(v, found[:k] + found[k + 1:],
+                      signs[:k] + signs[k + 1:])[0] == v]
     return sorted(out, key=lambda v: (len(v.support), v.support, v.entries))
 
 

@@ -3,8 +3,10 @@
 Each one reaches an answer of the package by a road the package itself no
 longer takes, so agreement checks the engine rather than restating it:
 circuits by a hyperplane scan over a kernel lattice basis, where the
-package filters its Graver basis; and toric Groebner bases by saturation,
-where the package interreduces its Graver basis.
+package filters its Graver basis; toric Groebner bases by saturation,
+where the package interreduces its Graver basis; and the Graver basis by
+completion over a lattice basis together with its negatives, where the
+package completes one representative of each sign class.
 """
 
 from itertools import combinations
@@ -75,3 +77,51 @@ def _saturation_toric_gb(cfg, order):
     gens.append(Binomial(everything, ONE))
     full = buchberger(gens, _Elimination(aux, order))
     return [g for g in full if g.plus.exponent(aux) == 0]
+
+
+def _signs(v):
+    """Bit masks of the positive and of the negative entries of v."""
+    return (sum(1 << i for i, e in enumerate(v) if e > 0),
+            sum(1 << i for i, e in enumerate(v) if e < 0))
+
+
+def _conformally_below(u, v):
+    """Whether each entry of u is zero or has v's sign and no larger size."""
+    return all(0 <= a <= b or b <= a <= 0 for a, b in zip(u, v))
+
+
+def _pottier_graver(m):
+    """All conformally minimal nonzero kernel vectors, one per sign class.
+
+    Each is primitive with its first nonzero entry positive, sorted by
+    (support size, support, entries). Completion (Pottier 1996; Hemmecke
+    2002): from a lattice basis and its negatives, every pairwise sum is
+    reduced by subtracting elements conformally below it, and a nonzero
+    remainder joins the set. Pairs of compatible signs are skipped, their
+    sum being conformal already. The completed set contains the Graver
+    basis as its conformally minimal part. Subtracting only shrinks the
+    remainder, so one pass over the set reduces it.
+    """
+    found = []
+    for v in kernel_lattice_basis(m):
+        found += [v.entries, tuple(-e for e in v.entries)]
+    signs = [_signs(v) for v in found]
+    for k, f in enumerate(found):  # sees the elements appended below
+        fpos, fneg = signs[k]
+        for (gpos, gneg), g in zip(signs[:k], found):
+            if not (fpos & gneg or fneg & gpos):
+                continue
+            s = tuple(a + b for a, b in zip(f, g))
+            spos, sneg = _signs(s)
+            for (hpos, hneg), h in zip(signs, found):
+                if not (hpos & ~spos or hneg & ~sneg):
+                    while _conformally_below(h, s):
+                        s = tuple(b - a for a, b in zip(h, s))
+                    spos, sneg = _signs(s)
+            if spos or sneg:
+                found.append(s)
+                signs.append((spos, sneg))
+    zero = (0,) * m.cols
+    out = [IntVector(v) for v in found if v > zero and not any(
+        u != v and _conformally_below(u, v) for u in found)]
+    return sorted(out, key=lambda v: (len(v.support), v.support, v.entries))

@@ -10,7 +10,7 @@ import pytest
 
 from diagminors import cli, suite
 from diagminors.constructions import prism
-from diagminors.graphs import serialize_edge_list
+from diagminors.graphs import Graph, serialize_edge_list
 from diagminors import fixtures
 
 
@@ -442,6 +442,60 @@ def test_basis_verbs_byte_pinned(capsys, tmp_path):
                 digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
             got[name, verb] = tuple(digests)
     assert got == BASIS_DIGESTS
+
+
+# First 16 hex digits of the sha256 of `matrix --tu` stdout, (text, json),
+# on every fixture_battery() graph and a few more, as printed when every
+# answer came from the minor search; bipartite graphs are now answered by
+# the theorem, the others still by the search, witness included.
+TU_GRAPHS = dict(fixtures.fixture_battery(), **{
+    "cycle-5": fixtures.cycle(5), "cycle-7": fixtures.cycle(7),
+    "cycle-8": fixtures.cycle(8),
+    "tree-two-chords": Graph((), [(1, 2), (2, 3), (3, 4), (2, 5), (5, 6),
+                                  (6, 7), (1, 4), (3, 6)])})
+TU_DIGESTS = {
+    "k2": ("1e50479e9d5eeb19", "cb8f297ec0d06366"),
+    "triangle": ("406705450c3f2ff7", "859bfee351955de9"),
+    "triangle-pendant": ("9a98b973771aed3b", "a53d867e20056d89"),
+    "five-vertex-example": ("b0bfd1ed8952d526", "59e12c3e06680359"),
+    "pendant-cycle": ("935d8bbcaf29f48a", "c5120baab8e242fc"),
+    "decorated-six-cycle": ("eaf5e2d5c4cfb703", "b2e99b48f5f0cafe"),
+    "theta": ("d2c59cb7dcad5023", "1c9041c98acfd25c"),
+    "k23": ("df488b1b368e16d8", "03e981c34dc89fc0"),
+    "cycle-4": ("84d94bfbbe1530a3", "87b6752d9c19efd0"),
+    "cycle-6": ("f7637115f445b6af", "698a8f38114cc46a"),
+    "path-2": ("1e50479e9d5eeb19", "cb8f297ec0d06366"),
+    "path-3": ("439c83fed0898c0c", "b999205c265799ec"),
+    "path-4": ("93ec7bec080d5514", "97e80da06414191d"),
+    "path-5": ("b303aa6c919413e2", "bbc42628a59458fb"),
+    "path-6": ("f2ccbe448862837a", "69b6c0618d3943e5"),
+    "path-7": ("ea01f0ca7677c50b", "9b81c7bb39e8e65e"),
+    "star-3": ("ef8732854dfa8bb7", "fcc519f065d1c82f"),
+    "star-4": ("57765af468623441", "1600dba2e4cd120e"),
+    "star-5": ("436824db3353f9e2", "bc66b6e6d65c246c"),
+    "star-6": ("9fd72c83cc16e7b6", "841a517fab49f560"),
+    "star-7": ("63c57ea9700de3c7", "026adfafd4dda74b"),
+    "star-8": ("d748fc0a1aecbeac", "befe22bff340a820"),
+    "cycle-5": ("5da8484d0ba32729", "4a77fd8847d1706a"),
+    "cycle-7": ("66f4c7c6bc5dc9ac", "8b50f9ad26201f2d"),
+    "cycle-8": ("4fe866e3d12c42fd", "953c79c8c4dc9cf9"),
+    "tree-two-chords": ("08018d810bffe21e", "d15df38daa71e85c"),
+}
+
+
+def test_matrix_tu_byte_pinned(capsys, tmp_path):
+    got = {}
+    for name, g in TU_GRAPHS.items():
+        p = tmp_path / (name + ".edges")
+        p.write_text(serialize_edge_list(g))
+        digests = []
+        for fmt in ("text", "json"):
+            rc, out, _ = _run(capsys, ["matrix", str(p), "--tu",
+                                       "--format", fmt])
+            assert rc == 0
+            digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+        got[name] = tuple(digests)
+    assert got == TU_DIGESTS
 
 
 @pytest.fixture(scope="module")

@@ -6,10 +6,13 @@ from itertools import combinations, product
 
 import pytest
 
+from diagminors import fixtures
+from diagminors.encoding import build_AG
+from diagminors.graphs import Graph
 from diagminors.intmat import (IntMatrix, IntVector, det, is_totally_unimodular,
                                kernel_lattice_basis, matrix_circuits,
                                matrix_graver, rank)
-from references import _hyperplane_circuits
+from references import _hyperplane_circuits, _pottier_graver
 
 
 def _rank_fractions(entries):
@@ -261,3 +264,19 @@ def test_matrix_graver_box_oracle():
     cubic = IntMatrix([[1, 1, 1, 1], [0, 1, 2, 3]])
     assert [v.entries for v in matrix_graver(cubic)] == [
         v.entries for v in _hyperplane_circuits(cubic)] + [(1, -1, -1, 1)]
+
+
+def test_matrix_graver_matches_pottier_reference():
+    # one representative per sign class against the completion over a
+    # lattice basis and its negatives: the same list, order included
+    rnd = random.Random(1996)
+    mats = [IntMatrix([[rnd.randint(-2, 2) for _ in range(ncols)]
+                       for _ in range(rnd.randint(1, 4))])
+            for ncols in [rnd.randint(2, 6) for _ in range(150)]]
+    for _ in range(30):
+        pairs = list(combinations(range(1, rnd.randint(2, 7) + 1), 2))
+        edges = rnd.sample(pairs, rnd.randint(1, min(len(pairs), 7)))
+        mats.append(build_AG(Graph((), edges)).matrix)
+    mats += [build_AG(g).matrix for g in fixtures.fixture_battery().values()]
+    for m in mats:
+        assert matrix_graver(m) == _pottier_graver(m)

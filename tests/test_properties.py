@@ -1,9 +1,10 @@
-"""Property tests on random small graphs: two basis engines, one answer.
+"""Property tests on random small graphs: two routes, one answer.
 
 The package's Graver basis (by completion) and the reference circuits (by
 the hyperplane scan in tests/references.py) share only the kernel lattice
 basis, so agreement between them checks both. The package's own circuits
 are a filter of its Graver basis, so they are held to the reference too.
+Total unimodularity by the bipartite theorem is held to the minor search.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from diagminors.bases import circuits, graver, ugb
 from diagminors.binomials import binomial_from_vector
 from diagminors.encoding import build_AG
-from diagminors.graphs import Graph
+from diagminors.graphs import Graph, is_bipartite
+from diagminors.intmat import is_totally_unimodular
 from diagminors import fixtures
 from references import _hyperplane_circuits
 
@@ -40,6 +42,14 @@ def odd_cycle_graphs(draw):
     edges += draw(st.lists(st.sampled_from(others), max_size=6 - k,
                            unique=True))
     return Graph((), edges)
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 6 vertices and any edges among them."""
+    pairs = [(i, j) for i in LABELS for j in LABELS if i < j]
+    return Graph((), draw(st.lists(st.sampled_from(pairs), min_size=1,
+                                   unique=True)))
 
 
 def _reference_circuits(cfg):
@@ -73,3 +83,15 @@ def test_ugb_equals_circuits_on_bipartite_graphs(g):
     assert rep.status == "exact"
     assert rep.count == len(want)
     assert set(rep.elements) == set(want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(small_graphs())
+@example(Graph((), [(i, j) for i in (1, 2, 3) for j in (4, 5, 6)]))
+@example(fixtures.cycle(5))
+def test_tu_search_agrees_with_bipartite_theorem(g):
+    # the theorem `matrix --tu` answers bipartite graphs by, checked by the
+    # general minor search it no longer runs there
+    tu, witness = is_totally_unimodular(build_AG(g).matrix)
+    assert tu == is_bipartite(g)
+    assert (witness is None) == tu
