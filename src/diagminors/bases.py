@@ -2,16 +2,17 @@
 
 The universal Groebner basis U(P_G) sits between the circuits and the
 Graver basis of the configuration A_G, both read off one Graver basis of
-its kernel lattice. Even closed walks of a host graph H pin U(P_G)
-exactly, as the circuits do for bipartite G; everything else gets honest
-sandwich bounds.
+its kernel lattice. `ugb` takes two routes: the even cycles of a host
+graph H pin U(P_G) for trees and even unicyclic components, and the
+Graver basis bounds it for every other component, exactly where the
+circuits are the whole Graver basis and by honest sandwich bounds
+elsewhere.
 """
 
 from .binomials import Binomial, Monomial, binomial_from_vector
 from .constructions import build_H
 from .encoding import adegree, build_AG, edge_variables
-from .graphs import ClosedWalk, classify, components, enumerate_cycles, \
-    is_bipartite
+from .graphs import classify, enumerate_cycles, is_bipartite
 from .intmat import matrix_circuits, matrix_graver, support_minimal
 
 
@@ -75,9 +76,10 @@ def graver(cfg):
 def is_primitive(b, cfg):
     """Whether no other homogeneous binomial divides b sidewise.
 
-    Equivalent to membership in the Graver basis. The binomial must be
-    homogeneous for the configuration, else its exponent vector is not even
-    a kernel element and the question is ill-posed.
+    Equivalent to membership in the Graver basis, and answered that way:
+    each call computes the whole Graver basis of the configuration. The
+    binomial must be homogeneous for the configuration, else its exponent
+    vector is not even a kernel element and the question is ill-posed.
     """
     if adegree(b.plus, cfg) != adegree(b.minus, cfg):
         raise ValueError("binomial is not homogeneous for the configuration")
@@ -101,78 +103,17 @@ def walk_binomial(w, h):
     return Binomial(Monomial(evens), Monomial(odds))
 
 
-def _rotate_cycle(c, start):
-    """Vertex sequence of a cycle rotated to `start`, smaller second vertex."""
-    vs = c.vertices
-    k = vs.index(start)
-    rot = vs[k:] + vs[:k]
-    if rot[-1] < rot[1]:
-        rot = (rot[0],) + tuple(reversed(rot[1:]))
-    return rot
-
-
-def _connecting_paths(g, set1, set2):
-    """Simple paths from set1 to set2 with all interior vertices outside both."""
-    paths = []
-    blocked = set1 | set2
-
-    def walk(path):
-        for w in sorted(g.neighbors(path[-1])):
-            if w in set2:
-                paths.append(path + [w])
-            elif w not in blocked and w not in path:
-                walk(path + [w])
-
-    for a in sorted(set1):
-        walk([a])
-    return paths
-
-
-def graph_circuits(h):
-    """Circuits of the toric ideal of a connected host graph's incidence.
-
-    Three walk shapes: even cycles; two odd cycles meeting in exactly one
-    vertex; and two vertex-disjoint odd cycles joined by a simple path
-    (every such path, traversed there and back, its edges squared).
-    """
-    host = getattr(h, "graph", h)
-    if len(components(host)) != 1:
-        raise ValueError("circuit walks need a connected host graph")
-    cycles = enumerate_cycles(host)
-    walks = [c for c in cycles if c.is_even]
-    odd = [c for c in cycles if not c.is_even]
-    for a in range(len(odd)):
-        for b in range(a + 1, len(odd)):
-            c1, c2 = odd[a], odd[b]
-            s1, s2 = set(c1.vertices), set(c2.vertices)
-            common = s1 & s2
-            if len(common) == 1:
-                v = common.pop()
-                rot1 = _rotate_cycle(c1, v)
-                rot2 = _rotate_cycle(c2, v)
-                walks.append(ClosedWalk(rot1 + rot2))
-            elif not common:
-                for path in _connecting_paths(host, s1, s2):
-                    rot1 = _rotate_cycle(c1, path[0])
-                    rot2 = _rotate_cycle(c2, path[-1])
-                    vs = (list(rot1) + [path[0]] + path[1:] + list(rot2[1:])
-                          + [path[-1]] + list(reversed(path))[1:-1])
-                    walks.append(ClosedWalk(vs))
-    # str(b) is canonical, so the key orders distinct binomials strictly
-    return sorted({walk_binomial(w, host) for w in walks},
-                  key=lambda b: (b.degree, str(b)))
-
-
 def ugb(g):
     """Universal Groebner basis of P_G, exact where the theory pins it.
 
     Components contribute independently (their variables are disjoint), by
-    one of four routes: a tree, or a bipartite unicyclic component, via the
-    even cycles of its host graph (for a tree its prism); a lone odd cycle
-    via the circuit walks of its prism; any other component via one Graver
-    basis of A_G, its support-minimal elements (the circuits) below and all
-    of it above. The bounds coincide for a bipartite component, so that
-    answer is exact; otherwise the report says it is only sandwiched.
+    one of two routes: a tree, or a bipartite unicyclic component, via the
+    even cycles of its host graph (for a tree its prism); any other
+    component via one Graver basis of A_G, its support-minimal elements
+    (the circuits) below and all of it above. Since U(P_G) lies between
+    the circuits and the Graver basis, a component whose circuits are its
+    whole Graver basis is exact (every bipartite one, and a lone odd
+    cycle); otherwise the report says it is only sandwiched.
     """
     lower = []
     upper = []
@@ -183,14 +124,13 @@ def ugb(g):
             host = build_H(comp)
             els = up = [walk_binomial(w, host)
                         for w in enumerate_cycles(host.graph, "even")]
-        elif record.kind == "unicyclic-odd" and comp.n == record.cycle.length:
-            els = up = graph_circuits(build_H(comp))
         else:
             cfg = build_AG(comp)
             vectors = matrix_graver(cfg.matrix)
-            els = _binomials(support_minimal(vectors), cfg)
+            minimal = support_minimal(vectors)
+            els = _binomials(minimal, cfg)
             up = _binomials(vectors, cfg)
-            exact = exact and record.bipartite
+            exact = exact and len(minimal) == len(vectors)
         lower.extend(els)
         upper.extend(up)
     if exact:

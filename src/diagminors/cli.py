@@ -175,15 +175,10 @@ def _cmd_gb(args, g):
     return OK
 
 
-def _cmd_circuits(args, g):
-    els = circuits(build_AG(g))
-    _emit(args, [str(b) for b in els],
-          {"count": len(els), "elements": [_canonical_json(b) for b in els]})
-    return OK
-
-
-def _cmd_graver(args, g):
-    els = graver(build_AG(g))
+def _cmd_basis(args, g):
+    # `circuits` or `graver`, looked up at call time so that a rebinding of
+    # the module global (a tracing wrapper, say) is the one called
+    els = globals()[args.verb](build_AG(g))
     _emit(args, [str(b) for b in els],
           {"count": len(els), "elements": [_canonical_json(b) for b in els]})
     return OK
@@ -334,8 +329,8 @@ def _build_parser():
 
 _HANDLERS = {"analyze": _cmd_analyze, "gens": _cmd_gens,
              "matrix": _cmd_matrix, "construct": _cmd_construct,
-             "gb": _cmd_gb, "circuits": _cmd_circuits,
-             "graver": _cmd_graver, "ugb": _cmd_ugb, "verify": _cmd_verify}
+             "gb": _cmd_gb, "circuits": _cmd_basis,
+             "graver": _cmd_basis, "ugb": _cmd_ugb, "verify": _cmd_verify}
 
 
 def main(argv=None):

@@ -4,15 +4,19 @@ Each one reaches an answer of the package by a road the package itself no
 longer takes, so agreement checks the engine rather than restating it:
 circuits by a hyperplane scan over a kernel lattice basis, where the
 package filters its Graver basis; toric Groebner bases by saturation,
-where the package interreduces its Graver basis; and the Graver basis by
+where the package interreduces its Graver basis; the Graver basis by
 completion over a lattice basis together with its negatives, where the
-package completes one representative of each sign class.
+package completes one representative of each sign class; and the circuits
+of a host graph's incidence by Villarreal's three closed-walk shapes,
+where `ugb` reads a lone odd cycle's basis off the Graver basis of A_G.
 """
 
 from itertools import combinations
 
+from diagminors.bases import walk_binomial
 from diagminors.binomials import (Binomial, Monomial, ONE,
                                   binomial_from_vector, buchberger)
+from diagminors.graphs import ClosedWalk, components, enumerate_cycles
 from diagminors.intmat import IntVector, _kernel_columns, kernel_lattice_basis
 
 
@@ -125,3 +129,65 @@ def _pottier_graver(m):
     out = [IntVector(v) for v in found if v > zero and not any(
         u != v and _conformally_below(u, v) for u in found)]
     return sorted(out, key=lambda v: (len(v.support), v.support, v.entries))
+
+
+def _rotate_cycle(c, start):
+    """Vertex sequence of a cycle rotated to `start`, smaller second vertex."""
+    vs = c.vertices
+    k = vs.index(start)
+    rot = vs[k:] + vs[:k]
+    if rot[-1] < rot[1]:
+        rot = (rot[0],) + tuple(reversed(rot[1:]))
+    return rot
+
+
+def _connecting_paths(g, set1, set2):
+    """Simple paths from set1 to set2 with all interior vertices outside both."""
+    paths = []
+    blocked = set1 | set2
+
+    def walk(path):
+        for w in sorted(g.neighbors(path[-1])):
+            if w in set2:
+                paths.append(path + [w])
+            elif w not in blocked and w not in path:
+                walk(path + [w])
+
+    for a in sorted(set1):
+        walk([a])
+    return paths
+
+
+def _graph_circuits(h):
+    """Circuits of the toric ideal of a connected host graph's incidence.
+
+    Three walk shapes: even cycles; two odd cycles meeting in exactly one
+    vertex; and two vertex-disjoint odd cycles joined by a simple path
+    (every such path, traversed there and back, its edges squared).
+    """
+    host = getattr(h, "graph", h)
+    if len(components(host)) != 1:
+        raise ValueError("circuit walks need a connected host graph")
+    cycles = enumerate_cycles(host)
+    walks = [c for c in cycles if c.is_even]
+    odd = [c for c in cycles if not c.is_even]
+    for a in range(len(odd)):
+        for b in range(a + 1, len(odd)):
+            c1, c2 = odd[a], odd[b]
+            s1, s2 = set(c1.vertices), set(c2.vertices)
+            common = s1 & s2
+            if len(common) == 1:
+                v = common.pop()
+                rot1 = _rotate_cycle(c1, v)
+                rot2 = _rotate_cycle(c2, v)
+                walks.append(ClosedWalk(rot1 + rot2))
+            elif not common:
+                for path in _connecting_paths(host, s1, s2):
+                    rot1 = _rotate_cycle(c1, path[0])
+                    rot2 = _rotate_cycle(c2, path[-1])
+                    vs = (list(rot1) + [path[0]] + path[1:] + list(rot2[1:])
+                          + [path[-1]] + list(reversed(path))[1:-1])
+                    walks.append(ClosedWalk(vs))
+    # str(b) is canonical, so the key orders distinct binomials strictly
+    return sorted({walk_binomial(w, host) for w in walks},
+                  key=lambda b: (b.degree, str(b)))

@@ -2,19 +2,18 @@
 
 import pytest
 
-from diagminors.bases import (BasisReport, circuits, degree_stats,
-                              graph_circuits, graver, is_primitive, ugb,
-                              walk_binomial)
+from diagminors.bases import (BasisReport, circuits, degree_stats, graver,
+                              is_primitive, ugb, walk_binomial)
 from diagminors.binomials import (Binomial, Monomial, TermOrder, buchberger,
                                   natural_order, normal_form, parse_binomial,
                                   parse_monomial, var_sort_key)
-from diagminors.constructions import prism
+from diagminors.constructions import build_H, prism
 from diagminors.encoding import (VectorConfiguration, build_AG, generators_PG,
                                  incidence_config)
 from diagminors.graphs import ClosedWalk, Graph, enumerate_cycles
 from diagminors.intmat import IntVector
 from diagminors import fixtures
-from references import _saturation_toric_gb
+from references import _graph_circuits, _saturation_toric_gb
 
 
 def _parse_set(strings):
@@ -158,7 +157,7 @@ def test_walk_binomial_errors():
 
 
 def test_graph_circuits_triangle_prism():
-    got = graph_circuits(prism(fixtures.triangle()))
+    got = _graph_circuits(prism(fixtures.triangle()))
     assert len(got) == 9
     assert frozenset(got) == _parse_set(fixtures.TRIANGLE_UGB)
     doubled = _parse_set(("x12*x21*x13*x31 - x11^2*x23*x32",
@@ -171,7 +170,7 @@ def test_graph_circuits_mobius_has_long_even_cycle():
     g = fixtures.cycle(4)
     h = mobius_host(g)
     b = parse_binomial("x12*x21*x34*x43 - x14*x41*x23*x32")
-    assert b in set(graph_circuits(h))
+    assert b in set(_graph_circuits(h))
 
 
 def mobius_host(g):
@@ -182,13 +181,13 @@ def mobius_host(g):
 def test_graph_circuits_bipartite_host_only_even_cycles():
     h = prism(fixtures.path(3))
     want = {walk_binomial(w, h) for w in enumerate_cycles(h.graph, "even")}
-    assert set(graph_circuits(h)) == want
+    assert set(_graph_circuits(h)) == want
 
 
 def test_graph_circuits_figure_eight():
     # two triangles sharing vertex 3; unnamed edges become y_1..y_6
     g = Graph((), [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)])
-    got = graph_circuits(g)
+    got = _graph_circuits(g)
     want = Binomial(Monomial([("y_2", 1), ("y_3", 1), ("y_5", 1)]),
                     Monomial([("y_1", 1), ("y_4", 1), ("y_6", 1)]))
     assert got == [want]
@@ -196,7 +195,7 @@ def test_graph_circuits_figure_eight():
 
 def test_graph_circuits_needs_connected_host():
     with pytest.raises(ValueError):
-        graph_circuits(Graph((), [(1, 2), (3, 4)]))
+        _graph_circuits(Graph((), [(1, 2), (3, 4)]))
 
 
 def test_ugb_exact_shapes():
@@ -212,6 +211,32 @@ def test_ugb_exact_shapes():
     rep = ugb(fixtures.five_vertex_example())
     assert rep.status == "exact"
     assert frozenset(rep.elements) == _parse_set(fixtures.EXAMPLE_CIRCUITS)
+
+
+def test_ugb_lone_odd_cycle_matches_walk_reference():
+    for k in (3, 5, 7, 9):
+        g = fixtures.cycle(k)
+        rep = ugb(g)
+        assert rep.status == "exact"
+        assert rep.count == k * k
+        assert frozenset(rep.elements) == frozenset(
+            _graph_circuits(build_H(g)))
+
+
+def test_ugb_cycle_11_answers():
+    # the walk reference needs seconds here and minutes at cycle-13
+    rep = ugb(fixtures.cycle(11))
+    assert (rep.status, rep.count) == ("exact", 121)
+
+
+def test_ugb_lone_odd_cycle_in_larger_graph_stays_exact():
+    # cycle-5 on 1..5 beside a path on 6, 7, 8
+    g = Graph((), [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (6, 7), (7, 8)])
+    rep = ugb(g)
+    assert rep.status == "exact"
+    assert rep.count == 25 + 3
+    assert frozenset(ugb(fixtures.cycle(5)).elements) <= frozenset(
+        rep.elements)
 
 
 def _degrees(g):
