@@ -1,18 +1,16 @@
 """Circuits, Graver bases, walk binomials and universal Groebner bases.
 
 The universal Groebner basis U(P_G) sits between the circuits and the
-Graver basis of the configuration A_G, both read off one Graver basis of
-its kernel lattice. `ugb` takes two routes: the even cycles of a host
-graph H pin U(P_G) for trees and even unicyclic components, and the
-Graver basis bounds it for every other component, exactly where the
-circuits are the whole Graver basis and by honest sandwich bounds
-elsewhere.
+Graver basis of the configuration A_G. `ugb` reads a bipartite
+component's basis off the cycles of its cone, where A_G is totally
+unimodular and the two bounds meet, and bounds every other component by
+one Graver basis of its kernel lattice: exactly where the circuits are
+the whole Graver basis, by honest sandwich bounds elsewhere.
 """
 
-from .binomials import Binomial, Monomial, binomial_from_vector
-from .constructions import build_H
-from .encoding import adegree, build_AG, edge_variables
-from .graphs import classify, enumerate_cycles, is_bipartite
+from .binomials import Binomial, Monomial, VarId, binomial_from_vector
+from .encoding import adegree, ag_variables, build_AG, edge_variables
+from .graphs import Graph, classify, enumerate_cycles, is_bipartite
 from .intmat import matrix_circuits, matrix_graver, support_minimal
 
 
@@ -103,34 +101,70 @@ def walk_binomial(w, h):
     return Binomial(Monomial(evens), Monomial(odds))
 
 
+def _cone_circuits(g):
+    """Circuits of A_G for a bipartite g, in Graver order.
+
+    A kernel vector of A_G has x_ij = x_ji = u_t on each edge t and x_vv
+    balancing row v, so a circuit is an even cycle of g or a path of g
+    between two vertices, with u = +-1 alternating along it and, for a
+    path, x_vv at its two ends. These are the cycles of g's cone (g plus a
+    vertex z joined to every vertex): started at z, a cycle alternates
+    sides step by step, a step of g giving x_ij*x_ji and a step to or from
+    z the diagonal x_vv of its other end. The order is `matrix_graver`'s,
+    by support size then support over the columns of `build_AG`; a
+    circuit is fixed by its support.
+    """
+    index = {var: k for k, var in enumerate(ag_variables(g))}
+    z = g.vertices[-1] + 1
+    cone = Graph((), list(g.edges) + [(v, z) for v in g.vertices])
+    keyed = []
+    for c in enumerate_cycles(cone):
+        vs = c.vertices
+        k = vs.index(z) if z in vs else 0
+        vs = vs[k:] + vs[:k]
+        sides = ([], [])
+        for t, (a, b) in enumerate(zip(vs, vs[1:] + vs[:1])):
+            if z in (a, b):
+                v = b if a == z else a
+                sides[t % 2].append(VarId(v, v))
+            else:
+                sides[t % 2].extend((VarId(a, b), VarId(b, a)))
+        support = sorted(index[v] for v in sides[0] + sides[1])
+        plus, minus = (Monomial((v, 1) for v in side) for side in sides)
+        keyed.append(((len(support), support), Binomial(plus, minus)))
+    keyed.sort(key=lambda kb: kb[0])
+    return [b for _, b in keyed]
+
+
 def ugb(g):
     """Universal Groebner basis of P_G, exact where the theory pins it.
 
-    Components contribute independently (their variables are disjoint), by
-    one of two routes: a tree, or a bipartite unicyclic component, via the
-    even cycles of its host graph (for a tree its prism); any other
-    component via one Graver basis of A_G, its support-minimal elements
-    (the circuits) below and all of it above. Since U(P_G) lies between
-    the circuits and the Graver basis, a component whose circuits are its
-    whole Graver basis is exact (every bipartite one, and a lone odd
-    cycle); otherwise the report says it is only sandwiched.
+    Components contribute independently (their variables are disjoint),
+    each in Graver order. For a bipartite component A_G is totally
+    unimodular, so its circuits, its Graver basis and U(P_G) are one set
+    (Sturmfels 1996, ch. 8), read off the cycles of the component's cone.
+    Any other component goes through one Graver basis of A_G, its
+    support-minimal elements (the circuits) below and all of it above.
+    Since U(P_G) lies between the circuits and the Graver basis, such a
+    component is exact when its circuits are its whole Graver basis (as
+    for a lone odd cycle); otherwise the report says it is only
+    sandwiched.
     """
     lower = []
     upper = []
     exact = True
     for record in classify(g).per_component:
         comp = record.graph
-        if record.kind in ("tree", "unicyclic-even"):
-            host = build_H(comp)
-            els = up = [walk_binomial(w, host)
-                        for w in enumerate_cycles(host.graph, "even")]
+        if record.bipartite:
+            els = up = _cone_circuits(comp)
         else:
             cfg = build_AG(comp)
             vectors = matrix_graver(cfg.matrix)
             minimal = support_minimal(vectors)
-            els = _binomials(minimal, cfg)
-            up = _binomials(vectors, cfg)
-            exact = exact and len(minimal) == len(vectors)
+            els = up = _binomials(vectors, cfg)
+            if len(minimal) < len(vectors):
+                els = _binomials(minimal, cfg)
+                exact = False
         lower.extend(els)
         upper.extend(up)
     if exact:

@@ -50,30 +50,40 @@ class VectorConfiguration:
                                                             self.ambient_dim)
 
 
-def build_AG(g):
-    """Configuration A_G of a graph, columns ordered edge pairs then diagonals.
+def ag_variables(g):
+    """Column variables of A_G in order: edge pairs, then the diagonals.
 
-    Edges keep their insertion order; within an edge the orientation with the
-    smaller first endpoint carries the negative entry. Vertex coordinates come
-    in sorted label order, so arbitrary labels work.
+    Edges keep their insertion order and within an edge {i, j}, i < j, the
+    variable x_ij (the column with the negative entry) comes before x_ji;
+    the diagonals x_vv follow in sorted label order.
     """
-    n, m = g.n, g.m
+    out = [VarId(a, b) for i, j in g.edges for a, b in ((i, j), (j, i))]
+    out.extend(VarId(v, v) for v in g.vertices)
+    return out
+
+
+def build_AG(g):
+    """Configuration A_G of a graph, columns in `ag_variables` order.
+
+    Vertex coordinates come in sorted label order, so arbitrary labels
+    work; edge coordinates follow in edge order.
+    """
+    n = g.n
     pos = {v: k for k, v in enumerate(g.vertices)}
-    d = n + m
+    epos = {e: n + t for t, e in enumerate(g.edges)}
+    d = n + g.m
     cols = []
-    for t, (i, j) in enumerate(g.edges):
-        fwd = [0] * d
-        fwd[pos[i]] = 1
-        fwd[pos[j]] = 1
-        fwd[n + t] = -1
-        cols.append((VarId(i, j), IntVector(fwd)))
-        back = [0] * d
-        back[n + t] = 1
-        cols.append((VarId(j, i), IntVector(back)))
-    for v in g.vertices:
-        unit = [0] * d
-        unit[pos[v]] = 1
-        cols.append((VarId(v, v), IntVector(unit)))
+    for var in ag_variables(g):
+        vec = [0] * d
+        i, j = var.i, var.j
+        if i == j:
+            vec[pos[i]] = 1
+        elif i < j:
+            vec[pos[i]] = vec[pos[j]] = 1
+            vec[epos[(i, j)]] = -1
+        else:
+            vec[epos[(j, i)]] = 1
+        cols.append((var, IntVector(vec)))
     return VectorConfiguration(cols)
 
 

@@ -131,8 +131,8 @@ def criterion_4():
     t0 = time.monotonic()
     issues = []
     for n in range(3, 9):
-        # the prism of a star has two hubs, so its even cycles are one square
-        # per leaf and one hexagon per pair of leaves
+        # a star is bipartite, so its basis is one element per path: a
+        # quadric per edge and a cubic per pair of leaves
         want = (n - 1) + math.comb(n - 1, 2)
         rep = ugb(fixtures.star(n))
         if rep.count != want:

@@ -8,7 +8,10 @@ where the package interreduces its Graver basis; the Graver basis by
 completion over a lattice basis together with its negatives, where the
 package completes one representative of each sign class; and the circuits
 of a host graph's incidence by Villarreal's three closed-walk shapes,
-where `ugb` reads a lone odd cycle's basis off the Graver basis of A_G.
+where `ugb` reads a lone odd cycle's basis off the Graver basis of A_G;
+and the universal Groebner basis of trees and even unicyclic graphs by the
+even cycles of the host graph H, where `ugb` reads it off the cycles of
+each component's cone.
 """
 
 from itertools import combinations
@@ -16,6 +19,7 @@ from itertools import combinations
 from diagminors.bases import walk_binomial
 from diagminors.binomials import (Binomial, Monomial, ONE,
                                   binomial_from_vector, buchberger)
+from diagminors.constructions import build_H
 from diagminors.graphs import ClosedWalk, components, enumerate_cycles
 from diagminors.intmat import IntVector, _kernel_columns, kernel_lattice_basis
 
@@ -191,3 +195,19 @@ def _graph_circuits(h):
     # str(b) is canonical, so the key orders distinct binomials strictly
     return sorted({walk_binomial(w, host) for w in walks},
                   key=lambda b: (b.degree, str(b)))
+
+
+def _host_walk_ugb(g):
+    """U(P_G) of a graph whose components are trees or even unicyclic.
+
+    P_G equals the toric ideal of the host graph H, which is bipartite
+    here, so its universal Groebner basis is one binomial per even cycle
+    of H, edges alternating between the two sides. Components come in
+    order, each in the order `enumerate_cycles` lists its host's cycles.
+    """
+    out = []
+    for comp in components(g):
+        host = build_H(comp)
+        out.extend(walk_binomial(w, host)
+                   for w in enumerate_cycles(host.graph, "even"))
+    return out

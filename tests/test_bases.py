@@ -1,5 +1,7 @@
 """Circuits, Graver bases, walk binomials and universal basis reports."""
 
+import random
+
 import pytest
 
 from diagminors.bases import (BasisReport, circuits, degree_stats, graver,
@@ -13,7 +15,7 @@ from diagminors.encoding import (VectorConfiguration, build_AG, generators_PG,
 from diagminors.graphs import ClosedWalk, Graph, enumerate_cycles
 from diagminors.intmat import IntVector
 from diagminors import fixtures
-from references import _graph_circuits, _saturation_toric_gb
+from references import _graph_circuits, _host_walk_ugb, _saturation_toric_gb
 
 
 def _parse_set(strings):
@@ -246,10 +248,34 @@ def _degrees(g):
 def test_ugb_star_counts_from_prism_cycles():
     # star-3 and path-3 are the same graph up to relabelling
     assert _degrees(fixtures.star(3)) == _degrees(fixtures.path(3)) == [2, 2, 3]
-    # one quadric per square and one cubic per hexagon of the star's prism
+    # one quadric per edge and one cubic per path between two leaves
     for n in range(3, 7):
         assert _degrees(fixtures.star(n)) == (
             [2] * (n - 1) + [3] * ((n - 1) * (n - 2) // 2))
+
+
+def _random_host_eligible(rng, n, cyclic):
+    """A tree, or an even unicyclic graph, on n shuffled labels."""
+    k = 2 * rng.randint(2, n // 2) if cyclic else 0
+    edges = [(t, (t + 1) % k) for t in range(k)]
+    edges += [(v, rng.randrange(v)) for v in range(max(k, 1), n)]
+    labels = rng.sample(range(3 * n), n)
+    edges = [(labels[a], labels[b]) if rng.random() < 0.5
+             else (labels[b], labels[a]) for a, b in edges]
+    rng.shuffle(edges)
+    return Graph((), edges)
+
+
+def test_ugb_matches_host_walk_reference():
+    rng = random.Random(11)
+    for _ in range(40):
+        for cyclic in (False, True):
+            g = _random_host_eligible(rng, rng.randint(4, 12), cyclic)
+            rep = ugb(g)
+            assert rep.status == "exact"
+            want = _host_walk_ugb(g)
+            assert rep.count == len(want)
+            assert set(rep.elements) == set(want)
 
 
 def test_ugb_sandwich():

@@ -10,7 +10,8 @@ import pytest
 
 from diagminors import cli, suite
 from diagminors.constructions import prism
-from diagminors.graphs import Graph, serialize_edge_list
+from diagminors.graphs import (Graph, components, is_bipartite,
+                              serialize_edge_list)
 from diagminors import fixtures
 
 
@@ -308,10 +309,10 @@ def test_verify(capsys, k2_file, trip_file, theta_file):
 
 
 def test_resource_errors_exit_3(capsys, tmp_path, monkeypatch):
-    # the prism of a 600-vertex path has cycles longer than the recursion
+    # the cone of a 1,200-vertex cycle has cycles longer than the recursion
     # limit allows the cycle enumeration to follow
-    p = tmp_path / "p600.edges"
-    p.write_text(serialize_edge_list(fixtures.path(600)))
+    p = tmp_path / "c1200.edges"
+    p.write_text(serialize_edge_list(fixtures.cycle(1200)))
     rc, out, err = _run(capsys, ["ugb", str(p)])
     assert rc == 3 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
@@ -361,6 +362,9 @@ def test_json_round_trips(capsys, trip_file):
 # its support columns. The triangle ugb pair is the other exception: a lone
 # odd cycle now goes through the Graver basis, so the same 9 elements print
 # in the order of its circuits (asserted below) rather than of its walks.
+# So do the cycle-4, cycle-6, pendant-cycle and decorated-six-cycle ugb
+# pairs: every bipartite component is read off its cone in Graver order, so
+# a connected bipartite graph's ugb prints its circuits (asserted below).
 BASIS_DIGESTS = {
     ("k2", "circuits"): ("984c08d62ac582c0", "d94a1a226c7fb80e"),
     ("k2", "graver"): ("984c08d62ac582c0", "d94a1a226c7fb80e"),
@@ -376,10 +380,10 @@ BASIS_DIGESTS = {
     ("five-vertex-example", "ugb"): ("9b892bf610bebc0c", "f0f35424a120769b"),
     ("pendant-cycle", "circuits"): ("5df022b840f636dd", "c2db0210df5db0a4"),
     ("pendant-cycle", "graver"): ("5df022b840f636dd", "c2db0210df5db0a4"),
-    ("pendant-cycle", "ugb"): ("74717d93df810173", "71491452b6c8114e"),
+    ("pendant-cycle", "ugb"): ("b133c320ec3034fe", "831bf94d411bb284"),
     ("decorated-six-cycle", "circuits"): ("220aa06ba58552ca", "220790aedb29b769"),
     ("decorated-six-cycle", "graver"): ("220aa06ba58552ca", "220790aedb29b769"),
-    ("decorated-six-cycle", "ugb"): ("5f37f09781b3c8fe", "65f2a87263d3152e"),
+    ("decorated-six-cycle", "ugb"): ("d9e418b9f59d56e1", "c2c54b355baf9927"),
     ("theta", "circuits"): ("30cae5c06fa91c46", "6defcf9111a4b4b2"),
     ("theta", "graver"): ("30cae5c06fa91c46", "6defcf9111a4b4b2"),
     ("theta", "ugb"): ("510605acaf60c516", "621db2b9ff061fd6"),
@@ -388,10 +392,10 @@ BASIS_DIGESTS = {
     ("k23", "ugb"): ("dfecad6786f2f739", "c556c0b4ed07cecc"),
     ("cycle-4", "circuits"): ("ac6c80bb73d1bf0c", "7203298b33860d5b"),
     ("cycle-4", "graver"): ("ac6c80bb73d1bf0c", "7203298b33860d5b"),
-    ("cycle-4", "ugb"): ("18ca993bf61ce8a2", "90a48699019662f4"),
+    ("cycle-4", "ugb"): ("3d54d5a11de52466", "1832494bd804cc5b"),
     ("cycle-6", "circuits"): ("785ba7768a8dd275", "c0404ffc29d61302"),
     ("cycle-6", "graver"): ("785ba7768a8dd275", "c0404ffc29d61302"),
-    ("cycle-6", "ugb"): ("a1ec85422bef6508", "44e89ebc823f3122"),
+    ("cycle-6", "ugb"): ("7b4599b3461cd829", "3ddb426282a86812"),
     ("path-2", "circuits"): ("984c08d62ac582c0", "d94a1a226c7fb80e"),
     ("path-2", "graver"): ("984c08d62ac582c0", "d94a1a226c7fb80e"),
     ("path-2", "ugb"): ("ab317ef119fc8e4e", "fe33f424adade2ea"),
@@ -450,6 +454,11 @@ def test_basis_verbs_byte_pinned(capsys, tmp_path):
     lines = texts["triangle", "ugb"]
     assert lines[:3] == ["status: exact", "count: 9", "max degree: 4"]
     assert lines[3:] == texts["triangle", "circuits"]
+    for name, g in fixtures.fixture_battery().items():
+        if is_bipartite(g) and len(components(g)) == 1:
+            lines = texts[name, "ugb"]
+            assert lines[0] == "status: exact"
+            assert lines[3:] == texts[name, "circuits"]
 
 
 # First 16 hex digits of the sha256 of `matrix --tu` stdout, (text, json),

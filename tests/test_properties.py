@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from diagminors.bases import circuits, graver, ugb
 from diagminors.binomials import binomial_from_vector
 from diagminors.encoding import build_AG
-from diagminors.graphs import Graph, is_bipartite
+from diagminors.graphs import Graph, components, is_bipartite
 from diagminors.intmat import is_totally_unimodular
 from diagminors import fixtures
 from references import _hyperplane_circuits
@@ -77,12 +77,15 @@ def test_circuits_inside_graver_on_non_bipartite_graphs(g):
 @given(bipartite_graphs())
 @example(fixtures.k23())
 def test_ugb_equals_circuits_on_bipartite_graphs(g):
-    # k23 is multicycle, so it takes the Graver branch of ugb
+    # each component is listed in Graver order, so on a connected graph
+    # the list is the circuits' list
     rep = ugb(g)
     want = _reference_circuits(build_AG(g))
     assert rep.status == "exact"
     assert rep.count == len(want)
     assert set(rep.elements) == set(want)
+    if len(components(g)) == 1:
+        assert list(rep.elements) == want
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
