@@ -146,9 +146,19 @@ def ugb(g):
     Any other component goes through one Graver basis of A_G, its
     support-minimal elements (the circuits) below and all of it above.
     Since U(P_G) lies between the circuits and the Graver basis, such a
-    component is exact when its circuits are its whole Graver basis (as
-    for a lone odd cycle); otherwise the report says it is only
-    sandwiched.
+    component is exact when its circuits are its whole Graver basis;
+    otherwise the report says it is only sandwiched.
+
+    A lone odd cycle on n vertices is always exact. Its Graver basis is n^2
+    circuits: for each pair of vertices the two paths round the cycle
+    between them, and for each vertex v the cycle walked from v, with
+    x_vv^2. Proof: a Graver element zero on some edge lives on a path,
+    which is bipartite, so it is one of the path elements. An element on
+    every edge has an odd number of vertices whose two edges carry the same
+    sign, the cycle being odd. With one such vertex v, the v-element is
+    conformally below it, so it is the v-element. With three or more, the
+    alternating path between two consecutive such vertices is conformally
+    below it, which a Graver element on every edge cannot allow.
     """
     lower = []
     upper = []

@@ -4,11 +4,15 @@ Everything here works over arbitrary-precision integers: ranks and
 determinants via fraction-free (Bareiss) elimination, total unimodularity
 with explicit witness minors, integer kernel lattice bases via unimodular
 column operations, conformally minimal kernel vectors (the Graver basis)
-by completion, and the circuits as its support-minimal elements.
+by completion, and the circuits as its support-minimal elements. The
+completion runs on the merged lattice, one coordinate per class of
+coordinates that are equal, negated or zero on the whole kernel lattice
+(on A_G, x_ij = x_ji leaves m + n of its 2m + n coordinates), and each
+reduction touches only the support of the element it subtracts.
 """
 
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 
 
@@ -290,68 +294,119 @@ def kernel_lattice_basis(m):
     return [IntVector(v).primitive_normalized() for v in raw]
 
 
+def _lattice_classes(basis, ncols):
+    """Classes of the coordinates that are equal, negated or zero on a lattice.
+
+    Coordinate i of a lattice vector is column i of `basis` (one lattice
+    basis vector per row) dotted with the vector's basis coefficients, so
+    two coordinates with equal or negated columns are equal or negated on
+    the whole lattice, and a zero column is a coordinate that is zero on
+    it. Returns the first coordinate of each nonzero class, in order, and
+    per coordinate its class and its sign relative to that first one; a
+    zero coordinate gets sign 0.
+    """
+    reps, where, classes = [], [], {}
+    for i in range(ncols):
+        col = tuple(b[i] for b in basis)
+        lead = next((e for e in col if e), 0)
+        if not lead:
+            where.append((0, 0))
+            continue
+        sign = 1 if lead > 0 else -1
+        key = tuple(sign * e for e in col)
+        if key not in classes:
+            classes[key] = (len(reps), sign)
+            reps.append(i)
+        k, rep_sign = classes[key]
+        where.append((k, sign * rep_sign))
+    return reps, where
+
+
 def _signs(v):
     """Bit masks of the positive and of the negative entries of v."""
-    return (sum(1 << i for i, e in enumerate(v) if e > 0),
-            sum(1 << i for i, e in enumerate(v) if e < 0))
+    pos = neg = 0
+    for i, e in enumerate(v):
+        if e > 0:
+            pos |= 1 << i
+        elif e < 0:
+            neg |= 1 << i
+    return pos, neg
 
 
-def _reduce(s, found, signs):
-    """Reduce s by found; return the remainder with its sign masks.
+def _element(v):
+    """A completion element: the vector, its support and its sign masks."""
+    return v, tuple(i for i, e in enumerate(v) if e), _signs(v)
+
+
+def _reduce(s, found, skip=-1):
+    """Reduce the list s in place by the elements of found but the one at
+    `skip`; return the sign masks of the remainder.
 
     Each h of found, or -h, is subtracted as often as it stays conformally
     below s: the masks pick the orientation, the entry sizes the multiple.
-    Subtracting only shrinks s, so one pass over found reduces it.
+    The multiple, the subtraction and the mask update touch only h's
+    support. Subtracting only shrinks s, so one pass over found reduces it.
     """
     spos, sneg = _signs(s)
-    for (hpos, hneg), h in zip(signs, found):
+    for k, (h, support, (hpos, hneg)) in enumerate(found):
         if not (hpos & ~spos or hneg & ~sneg):
-            q = min(b // a for a, b in zip(h, s) if a)
+            q = min(s[i] // h[i] for i in support)
         elif not (hneg & ~spos or hpos & ~sneg):
-            q = -min(-b // a for a, b in zip(h, s) if a)
+            q = -min(-s[i] // h[i] for i in support)
         else:
             continue
-        if q:
-            s = tuple(b - q * a for a, b in zip(h, s))
-            spos, sneg = _signs(s)
-    return s, (spos, sneg)
+        if q and k != skip:
+            for i in support:
+                s[i] -= q * h[i]
+                if not s[i]:
+                    spos &= ~(1 << i)
+                    sneg &= ~(1 << i)
+    return spos, sneg
 
 
 def matrix_graver(m):
     """All conformally minimal nonzero kernel vectors, one per sign class.
 
     Each is primitive with its first nonzero entry positive, sorted by
-    (support size, support, entries). Completion (Pottier 1996; Hemmecke
-    2002) on one representative of each pair {v, -v}: starting from a
-    lattice basis, for every pair of representatives f, g both f + g and
-    f - g are reduced by subtracting representatives, in either
-    orientation, conformally below them, and a nonzero remainder joins
-    the set. This completes the symmetric set of the representatives and
-    their negatives, since reducing -s gives the negative of reducing s and
-    the pairs (f, -f) and (f, f) give nothing new. A sum of two terms of
-    compatible signs is skipped, being conformal already. The completed set
-    contains the Graver basis as its conformally minimal part.
+    (support size, support, entries). Coordinates that are equal, negated
+    or zero on the kernel lattice are merged first (read off the columns
+    of a lattice basis): on A_G, x_ij = x_ji on every edge, so m + n
+    coordinates remain of 2m + n. Conformality, primitivity and the sign
+    of the first nonzero entry are the same on the merged and the full
+    vectors, which are expanded once at the end and sorted there.
+
+    Completion (Pottier 1996; Hemmecke 2002) on one representative of each
+    pair {v, -v}: starting from a lattice basis, for every pair of
+    representatives f, g both f + g and f - g are reduced by subtracting
+    representatives, in either orientation, conformally below them, and a
+    nonzero remainder joins the set. This completes the symmetric set of
+    the representatives and their negatives, since reducing -s gives the
+    negative of reducing s and the pairs (f, -f) and (f, f) give nothing
+    new. A sum of two terms of compatible signs is skipped, being conformal
+    already. The completed set contains the Graver basis as its
+    conformally minimal part: the elements no other one reduces.
     """
-    found = [v.entries for v in kernel_lattice_basis(m)]
-    signs = [_signs(v) for v in found]
-    for k, f in enumerate(found):  # sees the elements appended below
-        fpos, fneg = signs[k]
-        for (gpos, gneg), g in zip(signs[:k], found):
+    basis = [v.entries for v in kernel_lattice_basis(m)]
+    reps, where = _lattice_classes(basis, m.cols)
+    found = [_element([b[i] for i in reps]) for b in basis]
+    for k, (f, _, (fpos, fneg)) in enumerate(found):  # sees those appended
+        for g, _, (gpos, gneg) in islice(found, k):
             sums = []
             if fpos & gneg or fneg & gpos:
-                sums.append(tuple(a + b for a, b in zip(f, g)))
+                sums.append([a + b for a, b in zip(f, g)])
             if fpos & gpos or fneg & gneg:
-                sums.append(tuple(a - b for a, b in zip(f, g)))
+                sums.append([a - b for a, b in zip(f, g)])
             for s in sums:
-                s, ssigns = _reduce(s, found, signs)
-                if any(ssigns):
-                    found.append(s)
-                    signs.append(ssigns)
+                if any(_reduce(s, found)):
+                    found.append(_element(s))
     zero = (0,) * m.cols
-    out = [IntVector(v if v > zero else (-e for e in v))
-           for k, v in enumerate(found)
-           if _reduce(v, found[:k] + found[k + 1:],
-                      signs[:k] + signs[k + 1:])[0] == v]
+    out = []
+    for k, (v, _, _) in enumerate(found):
+        s = list(v)
+        _reduce(s, found, k)
+        if s == v:
+            full = tuple(sign * v[c] for c, sign in where)
+            out.append(IntVector(full if full > zero else (-e for e in full)))
     return sorted(out, key=lambda v: (len(v.support), v.support, v.entries))
 
 

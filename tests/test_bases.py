@@ -231,6 +231,15 @@ def test_ugb_cycle_11_answers():
     assert (rep.status, rep.count) == ("exact", 121)
 
 
+def test_ugb_cycle_13_is_its_graver_basis():
+    # minutes by the walk reference; the Graver route lists the 13^2
+    # circuits in Graver order
+    g = fixtures.cycle(13)
+    rep = ugb(g)
+    assert (rep.status, rep.count) == ("exact", 169)
+    assert list(rep.elements) == graver(build_AG(g))
+
+
 def test_ugb_lone_odd_cycle_in_larger_graph_stays_exact():
     # cycle-5 on 1..5 beside a path on 6, 7, 8
     g = Graph((), [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (6, 7), (7, 8)])

@@ -10,8 +10,8 @@ from diagminors import fixtures
 from diagminors.encoding import build_AG
 from diagminors.graphs import Graph
 from diagminors.intmat import (IntMatrix, IntVector, det, is_totally_unimodular,
-                               kernel_lattice_basis, matrix_circuits,
-                               matrix_graver, rank)
+                               _lattice_classes, kernel_lattice_basis,
+                               matrix_circuits, matrix_graver, rank)
 from references import _hyperplane_circuits, _pottier_graver
 
 
@@ -278,5 +278,26 @@ def test_matrix_graver_matches_pottier_reference():
         edges = rnd.sample(pairs, rnd.randint(1, min(len(pairs), 7)))
         mats.append(build_AG(Graph((), edges)).matrix)
     mats += [build_AG(g).matrix for g in fixtures.fixture_battery().values()]
+    # coordinates equal, negated or zero on the whole kernel lattice, which
+    # matrix_graver merges: a row e_j - sign * e_new ties a new coordinate
+    # to coordinate j; a column independent of the rest and the diagonal
+    # x77 of an isolated vertex are zero on the lattice. Duplicated and
+    # negated columns tie nothing (they put e_j -+ e_new in the kernel).
+    def tied(rows, j, sign):
+        tie = [0] * len(rows[0]) + [-sign]
+        tie[j] = 1
+        return IntMatrix([list(row) + [0] for row in rows] + [tie])
+
+    cubic = [[1, 1, 1, 1], [0, 1, 2, 3]]
+    merged = [tied(cubic, 1, 1), tied(cubic, 2, -1),
+              IntMatrix([row + [0] for row in cubic] + [[0, 0, 0, 0, 1]]),
+              build_AG(Graph((7,), [(1, 2), (2, 3), (1, 3), (3, 4)])).matrix]
+    merged += [tied(m.entries, rnd.randrange(m.cols), rnd.choice((1, -1)))
+               for m in mats[:100] if m.cols <= 4]
+    for m in merged:
+        basis = [v.entries for v in kernel_lattice_basis(m)]
+        assert len(_lattice_classes(basis, m.cols)[0]) < m.cols
+    mats += merged
+    mats.append(IntMatrix([row + [row[1], -row[2]] for row in cubic]))
     for m in mats:
         assert matrix_graver(m) == _pottier_graver(m)
