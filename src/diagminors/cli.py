@@ -4,6 +4,12 @@ Output is deterministic and byte-stable: the same invocation on the same
 input always prints the same bytes. Exit codes: 0 success, 1 verification
 mismatch, 2 usage or parse error, 3 precondition violation or a
 computation that ran out of stack or memory.
+
+The argument parser is built once, when the module is imported, so
+`main(argv)` may be called repeatedly in one process and each call pays
+only for parsing its argv and computing its answer. argparse keeps no state
+between calls: each parse fills a fresh namespace. An argparse usage error
+reaches an in-process caller as `SystemExit(2)`, with the usage on stderr.
 """
 
 import argparse
@@ -40,7 +46,11 @@ def _emit(args, lines, payload):
 
 
 def _binomial_json(plus, minus):
-    """JSON form of a binomial: exponent maps under plus/minus, plus text."""
+    """JSON form of a binomial: exponent maps under plus/minus, plus text.
+
+    The text is the binomial's line in text output, so each verb renders a
+    binomial once and reads its text line off this entry.
+    """
     return {"text": "%s - %s" % (plus, minus),
             "plus": {format_var(v): e for v, e in plus.items},
             "minus": {format_var(v): e for v, e in minus.items}}
@@ -88,9 +98,9 @@ def _cmd_analyze(args, g):
 
 def _cmd_gens(args, g):
     gens = generators_PG(g)
-    _emit(args, [str(b) for b in gens],
-          {"count": len(gens),
-           "generators": [_canonical_json(b) for b in gens]})
+    entries = [_canonical_json(b) for b in gens]
+    _emit(args, [e["text"] for e in entries],
+          {"count": len(gens), "generators": entries})
     return OK
 
 
@@ -158,14 +168,10 @@ def _cmd_gb(args, g):
         return USAGE
     gb = buchberger(gens, order)
     init = initial_ideal(gb, order)
-    rendered = []
-    entries = []
-    for b in gb:
-        lead, tail = oriented(order, b)
-        rendered.append("%s - %s" % (lead, tail))
-        entries.append(_binomial_json(lead, tail))
-    lines = rendered + ["initial ideal squarefree: %s"
-                        % ("yes" if init.squarefree else "no")]
+    entries = [_binomial_json(*oriented(order, b)) for b in gb]
+    lines = [e["text"] for e in entries]
+    lines.append("initial ideal squarefree: %s"
+                 % ("yes" if init.squarefree else "no"))
     payload = {"order": {"kind": order.kind,
                          "chain": [format_var(v)
                                    for v in order.variable_ranking]},
@@ -179,22 +185,27 @@ def _cmd_basis(args, g):
     # `circuits` or `graver`, looked up at call time so that a rebinding of
     # the module global (a tracing wrapper, say) is the one called
     els = globals()[args.verb](build_AG(g))
-    _emit(args, [str(b) for b in els],
-          {"count": len(els), "elements": [_canonical_json(b) for b in els]})
+    entries = [_canonical_json(b) for b in els]
+    _emit(args, [e["text"] for e in entries],
+          {"count": len(els), "elements": entries})
     return OK
 
 
 def _cmd_ugb(args, g):
     rep = ugb(g)
+    entries = [_canonical_json(b) for b in rep.elements]
     lines = ["status: %s" % rep.status, "count: %d" % rep.count,
              "max degree: %d" % rep.max_degree]
+    # the keys of BasisReport.as_dict, in its order, without its str() of
+    # every element
+    payload = {"status": rep.status, "count": rep.count,
+               "max_degree": rep.max_degree, "elements": entries}
     if rep.status == "sandwich":
         lines.append("lower count: %d" % len(rep.lower))
         lines.append("upper count: %d" % len(rep.upper))
-    lines += [str(b) for b in rep.elements]
-    payload = rep.as_dict()
-    payload["elements"] = [_canonical_json(b) for b in rep.elements]
-    _emit(args, lines, payload)
+        payload["lower_count"] = len(rep.lower)
+        payload["upper_count"] = len(rep.upper)
+    _emit(args, lines + [e["text"] for e in entries], payload)
     return OK
 
 
@@ -327,6 +338,10 @@ def _build_parser():
     return parser
 
 
+# Built once: main() may run many times in one process, and building the
+# parser costs more than parsing an argv or answering a small op
+_PARSER = _build_parser()
+
 _HANDLERS = {"analyze": _cmd_analyze, "gens": _cmd_gens,
              "matrix": _cmd_matrix, "construct": _cmd_construct,
              "gb": _cmd_gb, "circuits": _cmd_basis,
@@ -334,8 +349,7 @@ _HANDLERS = {"analyze": _cmd_analyze, "gens": _cmd_gens,
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.verb == "suite":
         return _cmd_suite(args)
     try:

@@ -1,5 +1,6 @@
 """Command line: verbs, formats, exit codes, byte stability."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -326,13 +327,81 @@ def test_resource_errors_exit_3(capsys, tmp_path, monkeypatch):
     assert (rc, out, err) == (3, "", "error: MemoryError\n")
 
 
-def test_parse_and_usage_errors(capsys, tmp_path):
+def test_parse_and_usage_errors(capsys, tmp_path, k2_file):
     rc, _, err = _run(capsys, ["gens", str(tmp_path / "missing.edges")])
     assert rc == 2 and "error:" in err
     bad = tmp_path / "bad.edges"
     bad.write_text("1 2 3\n")
     rc, _, err = _run(capsys, ["gens", str(bad)])
     assert rc == 2 and "expected two vertex labels" in err
+    # argparse's own usage errors reach an in-process caller as SystemExit
+    for argv in (["nosuchverb", k2_file], ["gens", k2_file, "--format", "xml"],
+                 ["construct", k2_file]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" in captured.err
+
+
+def _module_stdout(argv):
+    """stdout of a fresh `python -m diagminors.cli` run of argv."""
+    # the child interpreter imports the package under test, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-m", "diagminors.cli"] + argv,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    return proc.returncode, proc.stdout
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch, trip_file):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["gens", trip_file], ["ugb", trip_file, "--format", "json"],
+                 ["gb", trip_file, "--order", "deglex"],
+                 ["construct", trip_file, "--kind", "prism"]):
+        assert _run(capsys, argv)[0] == 0
+    assert built == []
+    # a call that argparse ends leaves nothing behind for the next one
+    argv = ["ugb", trip_file, "--format", "json"]
+    for failing in (["nosuchverb", trip_file], ["construct", trip_file]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(failing)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        rc, out, _ = _run(capsys, argv)
+        assert (rc, out) == _module_stdout(argv)
+    assert built == []
+
+
+def test_text_lines_are_json_texts(capsys, tmp_path):
+    # each element line of the text form is the text field of the same
+    # element in the JSON form, in the same order
+    for name, g in fixtures.fixture_battery().items():
+        p = tmp_path / (name + ".edges")
+        p.write_text(serialize_edge_list(g))
+        for argv, key in ((["circuits"], "elements"), (["graver"], "elements"),
+                          (["ugb"], "elements"), (["gb"], "basis"),
+                          (["gb", "--order", "lex"], "basis")):
+            argv = argv[:1] + [str(p)] + argv[1:]
+            rc, text, _ = _run(capsys, argv)
+            assert rc == 0
+            rc, out, _ = _run(capsys, argv + ["--format", "json"])
+            assert rc == 0
+            data = json.loads(out)
+            lines = text.splitlines()
+            if argv[0] == "ugb":
+                lines = lines[5 if data["status"] == "sandwich" else 3:]
+            elif argv[0] == "gb":
+                lines = lines[:-1]
+            assert lines == [e["text"] for e in data[key]], (name, argv)
 
 
 def test_byte_stable_output(capsys, trip_file):
@@ -547,12 +616,4 @@ def test_suite_json(capsys, shared_battery):
 
 
 def test_module_entry_point(k2_file):
-    # the child interpreter imports the package under test, installed or not
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "diagminors.cli",
-                           "gens", k2_file],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0
-    assert proc.stdout == "x11*x22 - x12*x21\n"
+    assert _module_stdout(["gens", k2_file]) == (0, "x11*x22 - x12*x21\n")
