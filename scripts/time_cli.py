@@ -37,6 +37,11 @@ def ops():
         "ugb k2": (["ugb"], fixtures.k2()),
         "circuits five-vertex-example": (["circuits"],
                                          fixtures.five_vertex_example()),
+        "circuits k23": (["circuits"], fixtures.k23()),
+        "circuits theta": (["circuits"], fixtures.theta_graph()),
+        "circuits decorated-six-cycle": (["circuits"],
+                                         fixtures.decorated_six_cycle()),
+        "graver cycle-6": (["graver"], fixtures.cycle(6)),
         "gb triangle deglex": (["gb", "--order", "deglex"],
                                fixtures.triangle()),
         "matrix --tu cycle-5": (["matrix", "--tu"], fixtures.cycle(5)),

@@ -20,8 +20,8 @@ from .encoding import (VectorConfiguration, adegree, build_AG, generators_PG,
                        heights, incidence_config, verify_extreme_rays)
 from .constructions import (LabeledConstruction, build_H, clique_sum, mobius,
                             prism, verify_PG_equals_IH)
-from .bases import (BasisReport, circuits, degree_stats, graver,
-                    is_primitive, ugb, walk_binomial)
+from .bases import (BasisReport, circuits, degree_stats, graph_basis,
+                    graver, is_primitive, ugb, walk_binomial)
 
 __version__ = "0.1.0"
 
@@ -30,8 +30,8 @@ __all__ = [
     "IntMatrix", "IntVector", "LabeledConstruction", "Monomial", "TermOrder",
     "VarId", "VectorConfiguration", "adegree", "buchberger", "build_AG",
     "build_H", "circuits", "classify", "clique_sum", "components",
-    "degree_stats", "det", "enumerate_cycles", "generators_PG", "graver",
-    "heights", "incidence_config", "indispensable_monomials",
+    "degree_stats", "det", "enumerate_cycles", "generators_PG", "graph_basis",
+    "graver", "heights", "incidence_config", "indispensable_monomials",
     "initial_ideal", "is_bipartite", "is_primitive", "is_totally_unimodular",
     "kernel_lattice_basis", "matrix_circuits", "matrix_graver", "mobius",
     "natural_order", "normal_form", "parse_binomial", "parse_edge_list",

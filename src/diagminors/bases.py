@@ -1,11 +1,14 @@
 """Circuits, Graver bases, walk binomials and universal Groebner bases.
 
 The universal Groebner basis U(P_G) sits between the circuits and the
-Graver basis of the configuration A_G. `ugb` reads a bipartite
-component's basis off the cycles of its cone, where A_G is totally
-unimodular and the two bounds meet, and bounds every other component by
-one Graver basis of its kernel lattice: exactly where the circuits are
-the whole Graver basis, by honest sandwich bounds elsewhere.
+Graver basis of the configuration A_G. For bipartite G, A_G is totally
+unimodular and the circuits, the Graver basis and U(P_G) are one set,
+read off the cycles of G's cone: `graph_basis` answers the circuits and
+the Graver basis of a bipartite graph that way, and `ugb` each bipartite
+component. Every other graph or component goes through one Graver basis
+of its kernel lattice: `ugb` is exact where the circuits are the whole
+Graver basis, and gives honest sandwich bounds elsewhere. `circuits` and
+`graver` take any configuration and always run the completion.
 """
 
 from .binomials import Binomial, Monomial, VarId, binomial_from_vector
@@ -115,7 +118,7 @@ def _cone_circuits(g):
     circuit is fixed by its support.
     """
     index = {var: k for k, var in enumerate(ag_variables(g))}
-    z = g.vertices[-1] + 1
+    z = max(g.vertices, default=0) + 1
     cone = Graph((), list(g.edges) + [(v, z) for v in g.vertices])
     keyed = []
     for c in enumerate_cycles(cone):
@@ -134,6 +137,22 @@ def _cone_circuits(g):
         keyed.append(((len(support), support), Binomial(plus, minus)))
     keyed.sort(key=lambda kb: kb[0])
     return [b for _, b in keyed]
+
+
+def graph_basis(g, kind):
+    """Circuits (kind "circuits") or Graver basis ("graver") of A_G.
+
+    The list is `circuits(build_AG(g))` or `graver(build_AG(g))`, in the
+    same order. For bipartite g, A_G is totally unimodular, so the two are
+    one set (Sturmfels 1996, ch. 8), read off the cycles of g's cone in
+    Graver order; any other g goes through the Graver completion.
+    """
+    if kind not in ("circuits", "graver"):
+        raise ValueError("kind must be circuits or graver")
+    if is_bipartite(g):
+        return _cone_circuits(g)
+    cfg = build_AG(g)
+    return circuits(cfg) if kind == "circuits" else graver(cfg)
 
 
 def ugb(g):

@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import suite
-from .bases import circuits, graver, ugb
+from .bases import graph_basis, ugb
 from .binomials import (buchberger, indispensable_monomials, initial_ideal,
                         natural_order, oriented, parse_var, format_var,
                         TermOrder, var_sort_key)
@@ -182,9 +182,9 @@ def _cmd_gb(args, g):
 
 
 def _cmd_basis(args, g):
-    # `circuits` or `graver`, looked up at call time so that a rebinding of
-    # the module global (a tracing wrapper, say) is the one called
-    els = globals()[args.verb](build_AG(g))
+    # `graph_basis` is a module global, looked up at each call, so that a
+    # rebinding of it (a tracing wrapper, say) is the one called
+    els = graph_basis(g, args.verb)
     entries = [_canonical_json(b) for b in els]
     _emit(args, [e["text"] for e in entries],
           {"count": len(els), "elements": entries})

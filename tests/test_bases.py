@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from diagminors.bases import (BasisReport, circuits, degree_stats, graver,
-                              is_primitive, ugb, walk_binomial)
+from diagminors.bases import (BasisReport, circuits, degree_stats,
+                              graph_basis, graver, is_primitive, ugb,
+                              walk_binomial)
 from diagminors.binomials import (Binomial, Monomial, TermOrder, buchberger,
                                   natural_order, normal_form, parse_binomial,
                                   parse_monomial, var_sort_key)
 from diagminors.constructions import build_H, prism
 from diagminors.encoding import (VectorConfiguration, build_AG, generators_PG,
                                  incidence_config)
-from diagminors.graphs import ClosedWalk, Graph, enumerate_cycles
+from diagminors.graphs import ClosedWalk, Graph, classify, enumerate_cycles
 from diagminors.intmat import IntVector
 from diagminors import fixtures
 from references import _graph_circuits, _host_walk_ugb, _saturation_toric_gb
@@ -285,6 +286,40 @@ def test_ugb_matches_host_walk_reference():
             want = _host_walk_ugb(g)
             assert rep.count == len(want)
             assert set(rep.elements) == set(want)
+
+
+def _random_bipartite(rng):
+    """Up to 9 edges between two sides of at most 8 shuffled labels."""
+    n = rng.randint(2, 8)
+    labels = rng.sample(range(3 * n), n)
+    k = rng.randint(1, n - 1)
+    pairs = [(a, b) for a in labels[:k] for b in labels[k:]]
+    edges = rng.sample(pairs, rng.randint(1, min(9, len(pairs))))
+    edges = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in edges]
+    return Graph((), edges)
+
+
+def test_graph_basis_matches_completion_on_bipartite_graphs():
+    # the cone's cycles against the Graver completion, in list order
+    rng = random.Random(19)
+    kinds = set()
+    for _ in range(60):
+        g = _random_bipartite(rng)
+        want = circuits(build_AG(g))
+        assert graph_basis(g, "circuits") == want
+        assert graph_basis(g, "graver") == want
+        records = classify(g).per_component
+        kinds.update(r.kind for r in records)
+        if len(records) > 1:
+            kinds.add("disconnected")
+    assert kinds == {"tree", "unicyclic-even", "multicycle", "disconnected"}
+
+
+def test_graph_basis_empty_and_unknown_kind():
+    assert graph_basis(Graph(), "circuits") == []
+    assert graph_basis(Graph(), "graver") == []
+    with pytest.raises(ValueError):
+        graph_basis(fixtures.k2(), "ugb")
 
 
 def test_ugb_sandwich():

@@ -253,7 +253,9 @@ def test_gb_wide_variable_chain(capsys, tmp_path):
     assert data["basis"][0]["text"] == "x_1,10*x_10,1 - x11*x_10,10"
 
 
-def test_circuits_and_graver(capsys, k2_file):
+def test_circuits_and_graver(capsys, tmp_path, k2_file):
+    empty = tmp_path / "empty.edges"
+    empty.write_text("")
     for verb in ("circuits", "graver"):
         rc, out, _ = _run(capsys, [verb, k2_file])
         assert rc == 0
@@ -262,6 +264,10 @@ def test_circuits_and_graver(capsys, k2_file):
         data = json.loads(out)
         assert data["count"] == 1
         assert data["elements"][0]["plus"] == {"x11": 1, "x22": 1}
+        # no edges: no elements, and no error
+        assert _run(capsys, [verb, str(empty)]) == (0, "", "")
+        assert _run(capsys, [verb, str(empty), "--format", "json"]) == (
+            0, '{\n  "count": 0,\n  "elements": []\n}\n', "")
 
 
 def test_graver_equals_circuits_on_six_cycle(capsys, tmp_path):
@@ -528,6 +534,38 @@ def test_basis_verbs_byte_pinned(capsys, tmp_path):
             lines = texts[name, "ugb"]
             assert lines[0] == "status: exact"
             assert lines[3:] == texts[name, "circuits"]
+
+
+# First 16 hex digits of the sha256 of stdout, (text, json), for `circuits`
+# and `graver` on two bipartite graphs where the Graver completion is slow.
+# Captured once from the completion route, which took 10-13 s per run on
+# each (2 shared vCPUs); bipartite graphs are now read off the cycles of
+# their cone, and these pins hold that route to the completion's bytes.
+SLOW_BASIS_EDGES = {
+    "k34": [(u, v) for u in (1, 2, 3) for v in (4, 5, 6, 7)],
+    "q3": [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b],
+}
+SLOW_BASIS_DIGESTS = {
+    ("k34", "circuits"): ("5a4a2c3ec7d645f1", "f4d4a5039ea18b88"),
+    ("k34", "graver"): ("5a4a2c3ec7d645f1", "f4d4a5039ea18b88"),
+    ("q3", "circuits"): ("57743a916145cec6", "dd8e4493e88d3c33"),
+    ("q3", "graver"): ("57743a916145cec6", "dd8e4493e88d3c33"),
+}
+
+
+def test_basis_verbs_byte_pinned_where_completion_is_slow(capsys, tmp_path):
+    got = {}
+    for name, edges in SLOW_BASIS_EDGES.items():
+        p = tmp_path / (name + ".edges")
+        p.write_text(serialize_edge_list(Graph((), edges)))
+        for verb in ("circuits", "graver"):
+            digests = []
+            for fmt in ("text", "json"):
+                rc, out, _ = _run(capsys, [verb, str(p), "--format", fmt])
+                assert rc == 0
+                digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+            got[name, verb] = tuple(digests)
+    assert got == SLOW_BASIS_DIGESTS
 
 
 # First 16 hex digits of the sha256 of `matrix --tu` stdout, (text, json),

@@ -4,12 +4,14 @@ The package's Graver basis (by completion) and the reference circuits (by
 the hyperplane scan in tests/references.py) share only the kernel lattice
 basis, so agreement between them checks both. The package's own circuits
 are a filter of its Graver basis, so they are held to the reference too.
+`graph_basis` reads a bipartite graph's basis off the cycles of its cone,
+with no linear algebra, and is held to all three.
 Total unimodularity by the bipartite theorem is held to the minor search.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
-from diagminors.bases import circuits, graver, ugb
+from diagminors.bases import circuits, graph_basis, graver, ugb
 from diagminors.binomials import binomial_from_vector
 from diagminors.encoding import build_AG
 from diagminors.graphs import Graph, components, is_bipartite
@@ -60,8 +62,10 @@ def _reference_circuits(cfg):
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(bipartite_graphs())
 def test_graver_equals_circuits_on_bipartite_graphs(g):
+    # graph_basis reads both off the cycles of g's cone, with no completion
     cfg = build_AG(g)
-    assert graver(cfg) == circuits(cfg) == _reference_circuits(cfg)
+    assert (graph_basis(g, "circuits") == graph_basis(g, "graver")
+            == graver(cfg) == circuits(cfg) == _reference_circuits(cfg))
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -69,8 +73,10 @@ def test_graver_equals_circuits_on_bipartite_graphs(g):
 def test_circuits_inside_graver_on_non_bipartite_graphs(g):
     cfg = build_AG(g)
     want = _reference_circuits(cfg)
-    assert circuits(cfg) == want
-    assert set(want) <= set(graver(cfg))
+    assert circuits(cfg) == graph_basis(g, "circuits") == want
+    full = graver(cfg)
+    assert graph_basis(g, "graver") == full
+    assert set(want) <= set(full)
 
 
 @settings(derandomize=True, deadline=None, max_examples=30)
