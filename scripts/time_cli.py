@@ -26,13 +26,37 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
 from diagminors import cli, fixtures  # noqa: E402
-from diagminors.graphs import serialize_edge_list  # noqa: E402
+from diagminors.binomials import format_var, var_sort_key  # noqa: E402
+from diagminors.encoding import build_AG  # noqa: E402
+from diagminors.graphs import Graph, serialize_edge_list  # noqa: E402
 
 REPEAT = 50
 
 
+BOWTIE = Graph((), [(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (1, 5)])
+
+# An 11-vertex, 13-edge multicycle: a 7-cycle whose chord splits it into a
+# 4-cycle and a 5-cycle, joined by one edge to another 4-cycle.
+MULTICYCLE_11 = Graph((), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
+                           (1, 7), (7, 8), (8, 9), (9, 10), (10, 11),
+                           (2, 5), (8, 11)])
+
+
+def diagonal_first(kind, g):
+    """OrderSpec ranking the x_ii of g first, then the x_ij, row-major.
+
+    Under degrevlex the natural chain leaves the generators of the
+    decorated six-cycle a Groebner basis already; ranking the diagonal
+    first gives Buchberger S-pairs to reduce (12 to 31 elements).
+    """
+    variables = sorted(build_AG(g).variables,
+                       key=lambda v: (v.i != v.j, var_sort_key(v)))
+    return "%s:%s" % (kind, ",".join(format_var(v) for v in variables))
+
+
 def ops():
     """The timed ops, by name: (verb and options, graph)."""
+    dec6 = fixtures.decorated_six_cycle()
     return {
         "ugb k2": (["ugb"], fixtures.k2()),
         "circuits five-vertex-example": (["circuits"],
@@ -44,6 +68,12 @@ def ops():
         "graver cycle-6": (["graver"], fixtures.cycle(6)),
         "gb triangle deglex": (["gb", "--order", "deglex"],
                                fixtures.triangle()),
+        "gb decorated-six-cycle degrevlex diagonal-first": (
+            ["gb", "--order", diagonal_first("degrevlex", dec6)], dec6),
+        "gb bowtie lex": (["gb", "--order", "lex"], BOWTIE),
+        "gb multicycle-11 deglex": (["gb", "--order", "deglex"],
+                                    MULTICYCLE_11),
+        "gb multicycle-11 lex": (["gb", "--order", "lex"], MULTICYCLE_11),
         "matrix --tu cycle-5": (["matrix", "--tu"], fixtures.cycle(5)),
         "verify path-30": (["verify"], fixtures.path(30)),
     }

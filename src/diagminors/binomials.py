@@ -279,9 +279,46 @@ def oriented(order, b):
     return b.minus, b.plus
 
 
-def _rewrite(m, rules):
-    """Reduce a monomial by rewriting rules (lead, tail) until none applies.
+def _bits(monomials):
+    """One bit per variable of the given monomials, in order of first use.
 
+    The bits index the support masks of `_mask`. They come from the
+    monomials in hand, never from the term order, which need only have
+    `key()`.
+    """
+    bit = {}
+    for m in monomials:
+        for v, _ in m.items:
+            if v not in bit:
+                bit[v] = 1 << len(bit)
+    return bit
+
+
+def _mask(m, bit):
+    """Support mask of a monomial: the bits of its variables.
+
+    A variable with no bit contributes 0. The mask then only filters less:
+    `not mask(a) & ~mask(b)` still holds whenever a divides b.
+    """
+    mask = 0
+    for v, _ in m.items:
+        mask |= bit.get(v, 0)
+    return mask
+
+
+def _rule(lead, tail, bit):
+    """Rewriting rule (lead, tail, lead_mask) of an oriented binomial."""
+    return lead, tail, _mask(lead, bit)
+
+
+def _rewrite(m, rules, bit):
+    """Reduce a monomial by rewriting rules until none applies.
+
+    Each rule is a (lead, tail, lead_mask) triple from `_rule` under the
+    same `bit` map. A lead can divide m only when its support mask lies
+    inside m's, so one integer AND rejects most leads before their
+    exponents are compared (the short exponent vectors of Bachmann and
+    Schoenemann, ISSAC 1998); m's mask is recomputed after each step.
     Each application strictly decreases the monomial in the order the rules
     came from, so this terminates; for rules read off a Groebner basis the
     result is the unique normal form.
@@ -289,18 +326,19 @@ def _rewrite(m, rules):
     changed = True
     while changed:
         changed = False
-        for lead, tail in rules:
-            if lead.divides(m):
+        outside = ~_mask(m, bit)
+        for lead, tail, lead_mask in rules:
+            if not lead_mask & outside and lead.divides(m):
                 m = (m / lead) * tail
                 changed = True
                 break
     return m
 
 
-def _reduce_binomial(plus, minus, rules):
+def _reduce_binomial(plus, minus, rules, bit):
     """Normal form of the difference plus - minus; 0 when the sides merge."""
-    plus = _rewrite(plus, rules)
-    minus = _rewrite(minus, rules)
+    plus = _rewrite(plus, rules, bit)
+    minus = _rewrite(minus, rules, bit)
     if plus == minus:
         return 0
     return Binomial(plus, minus)
@@ -313,11 +351,17 @@ def buchberger(generators, order):
     lcm first, ties by insertion index) and the coprime-lead criterion,
     followed by inter-reduction; output is sorted by ascending lead, and
     each output element has its lead as its plus side. During the run each
-    element is kept only as its (lead, tail) rewriting rule, oriented once
-    when it enters. The S-pairs of an element with those before it form one
-    run sorted by lcm, and a heap merges the runs holding one pair of each,
-    so the queue stays as small as the basis.
+    element is kept only as its (lead, tail, lead_mask) rewriting rule,
+    oriented once when it enters. Every monomial of the run lives in the
+    generators' variables, each of which has its own bit, so a lead mask is
+    exactly the lead's support: two leads are coprime iff their masks are
+    disjoint, and `_rewrite` uses the masks to skip leads that cannot
+    divide. The S-pairs of an element with those before it form one run
+    sorted by lcm, and a heap merges the runs holding one pair of each, so
+    the queue stays as small as the basis. `order` needs only `key()`.
     """
+    gens = list(generators)
+    bit = _bits(side for g in gens for side in (g.plus, g.minus))
     rules = []
     seen = set()
     heap = []
@@ -331,44 +375,51 @@ def buchberger(generators, order):
             heapq.heappush(heap, (pair_key(k, j), k, j, run))
 
     def add(b):
-        lead, tail = oriented(order, b)
+        rule = _rule(*oriented(order, b), bit)
         j = len(rules)
         # coprime leads: the S-pair reduces to zero, so it is never queued
-        run = [k for k, (lead_k, _) in enumerate(rules)
-               if monomial_gcd(lead_k, lead).items]
-        rules.append((lead, tail))
+        run = [k for k, (_, _, mask_k) in enumerate(rules)
+               if mask_k & rule[2]]
+        rules.append(rule)
         seen.add(b)
         run.sort(key=lambda k: pair_key(k, j))
         queue_next(iter(run), j)
 
-    for g in generators:
+    for g in gens:
         if g not in seen:
             add(g)
     while heap:
         _, i, j, run = heapq.heappop(heap)
         queue_next(run, j)
-        lead_i, tail_i = rules[i]
-        lead_j, tail_j = rules[j]
+        lead_i, tail_i, _ = rules[i]
+        lead_j, tail_j, _ = rules[j]
         big = monomial_lcm(lead_i, lead_j)
         spair_plus = (big / lead_i) * tail_i
         spair_minus = (big / lead_j) * tail_j
         if spair_plus == spair_minus:
             continue
-        reduced = _reduce_binomial(spair_plus, spair_minus, rules)
+        reduced = _reduce_binomial(spair_plus, spair_minus, rules, bit)
         if reduced != 0 and reduced not in seen:
             add(reduced)
-    return _interreduce(rules, order)
+    return _interreduce(rules, order, bit)
 
 
-def _interreduce(rules, order):
-    """Minimalize leads, fully reduce tails, sort ascending by lead."""
+def _interreduce(rules, order, bit):
+    """Minimalize leads, fully reduce tails, sort ascending by lead.
+
+    `rules` are (lead, tail, lead_mask) triples from `_rule` under `bit`;
+    the masks prefilter both the lead-divisibility scan and the tail
+    rewriting. `order` needs only `key()`.
+    """
     kept = []
-    for lead, tail in sorted(rules, key=lambda lt: order.key(lt[0])):
-        if not any(k_lead.divides(lead) for k_lead, _ in kept):
-            kept.append((lead, tail))
+    for rule in sorted(rules, key=lambda r: order.key(r[0])):
+        lead, _, lead_mask = rule
+        if not any(not k_mask & ~lead_mask and k_lead.divides(lead)
+                   for k_lead, _, k_mask in kept):
+            kept.append(rule)
     out = []
-    for idx, (lead, tail) in enumerate(kept):
-        tail = _rewrite(tail, kept[:idx] + kept[idx + 1:])
+    for idx, (lead, tail, _) in enumerate(kept):
+        tail = _rewrite(tail, kept[:idx] + kept[idx + 1:], bit)
         out.append(Binomial(lead, tail))
     # Binomial(lead, tail) keeps lead, less any common factor, as plus.
     out.sort(key=lambda g: order.key(g.plus))
@@ -382,10 +433,12 @@ def normal_form(b, basis, order):
     input. Canonical only when `basis` really is a Groebner basis for
     `order`; both sides reduce independently because coefficients are units.
     """
-    rules = [oriented(order, g) for g in basis]
+    pairs = [oriented(order, g) for g in basis]
+    bit = _bits(m for pair in pairs for m in pair)
+    rules = [_rule(lead, tail, bit) for lead, tail in pairs]
     if isinstance(b, Monomial):
-        return _rewrite(b, rules)
-    return _reduce_binomial(b.plus, b.minus, rules)
+        return _rewrite(b, rules, bit)
+    return _reduce_binomial(b.plus, b.minus, rules, bit)
 
 
 InitialIdeal = namedtuple("InitialIdeal", ["generators", "squarefree"])
@@ -394,11 +447,15 @@ InitialIdeal = namedtuple("InitialIdeal", ["generators", "squarefree"])
 def initial_ideal(basis, order):
     """Leading monomials of a basis, minimalized, with a squarefree flag."""
     leads = sorted({leading(order, g) for g in basis}, key=order.key)
-    minimal = []
+    bit = _bits(leads)
+    kept = []
     for m in leads:
-        if not any(k.divides(m) for k in minimal):
-            minimal.append(m)
-    return InitialIdeal(tuple(minimal),
+        mask = _mask(m, bit)
+        if not any(not k_mask & ~mask and k.divides(m)
+                   for k, k_mask in kept):
+            kept.append((m, mask))
+    minimal = tuple(m for m, _ in kept)
+    return InitialIdeal(minimal,
                         all(m.is_squarefree for m in minimal))
 
 
@@ -418,9 +475,11 @@ def toric_gb(cfg, order):
     lead as its plus side. Configurations with linearly independent columns
     have a zero ideal (empty basis).
     """
-    rules = [oriented(order, binomial_from_vector(v.entries, cfg.variables))
+    pairs = [oriented(order, binomial_from_vector(v.entries, cfg.variables))
              for v in matrix_graver(cfg.matrix)]
-    return _interreduce(rules, order)
+    bit = _bits(m for pair in pairs for m in pair)
+    return _interreduce([_rule(lead, tail, bit) for lead, tail in pairs],
+                        order, bit)
 
 
 def indispensable_monomials(g):

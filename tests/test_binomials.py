@@ -254,6 +254,88 @@ def test_buchberger_independent_of_generator_order_and_repeats():
     assert kinds & {"unicyclic-even", "unicyclic-odd"}
 
 
+def _workload_graphs(rnd):
+    """Trees, even and odd unicyclic graphs, and bipartite and non-bipartite
+    multicycles on 7-12 vertices, with labels scattered over 1..24 so that
+    wide names like x_10,2 occur."""
+    def spanning_tree(labels):
+        return [(labels[rnd.randrange(k)], labels[k])
+                for k in range(1, len(labels))]
+
+    def labels():
+        return rnd.sample(range(1, 25), rnd.randint(7, 12))
+
+    yield Graph((), spanning_tree(labels()))
+    for parity in (0, 1):
+        ls = labels()
+        k = rnd.choice([c for c in range(3, min(len(ls), 8) + 1)
+                        if c % 2 == parity])
+        ring = [(ls[t], ls[(t + 1) % k]) for t in range(k)]
+        yield Graph((), ring + [(ls[rnd.randrange(v)], ls[v])
+                                for v in range(k, len(ls))])
+    for bipartite in (True, False):
+        ls = labels()
+        edges = spanning_tree(ls)
+        side = {ls[0]: 0}
+        for u, v in edges:
+            side[v] = 1 - side[u]
+        # a chord joins two sides exactly when it keeps the graph bipartite
+        chords = [(a, b) for k, a in enumerate(ls) for b in ls[k + 1:]
+                  if (a, b) not in edges and (b, a) not in edges
+                  and (side[a] != side[b]) == bipartite]
+        yield Graph((), edges + rnd.sample(chords, 2))
+
+
+def test_buchberger_matches_toric_gb_on_workload_sized_graphs():
+    # the S-pair completion of the generators against the interreduced
+    # Graver basis of the kernel lattice, under shuffled chains
+    rnd = random.Random(1998)
+    kinds = set()
+    wide = False
+    for kind in TermOrder.kinds:
+        for g in _workload_graphs(rnd):
+            kinds.update(classify(g).kinds)
+            cfg = build_AG(g)
+            wide = wide or any(max(v) > 9 for v in cfg.variables)
+            ranking = list(cfg.variables)
+            rnd.shuffle(ranking)
+            order = TermOrder(kind, ranking)
+            assert buchberger(generators_PG(g), order) \
+                == toric_gb(cfg, order)
+    assert kinds == {"tree", "unicyclic-even", "unicyclic-odd",
+                     "multicycle"}
+    assert wide
+
+
+def test_support_masks_only_filter():
+    # x11^2 shares its support with x11*x22 but does not divide it
+    square = parse_binomial("x11^2 - x12*x21")
+    order = TermOrder("lex", [parse_var(s)
+                              for s in ("x22", "x11", "x12", "x21")])
+    assert normal_form(parse_monomial("x11*x22"), [square], order) \
+        == parse_monomial("x11*x22")
+    assert normal_form(parse_monomial("x11^3*x22"), [square], order) \
+        == parse_monomial("x11*x12*x21*x22")
+    # x11^2 comes first in the scan, and its support lies inside x11*x22's
+    assert initial_ideal([square, parse_binomial("x11*x22 - x12^2")],
+                         order).generators \
+        == (parse_monomial("x11^2"), parse_monomial("x11*x22"))
+    gb = buchberger([square, parse_binomial("x11*x22 - x12^2")], order)
+    assert [str(g) for g in gb] == ["x11^2 - x12*x21", "x11*x12 - x21*x22",
+                                    "x11*x22 - x12^2"]
+    assert [leading(order, g) for g in gb] \
+        == [parse_monomial(m) for m in ("x11^2", "x21*x22", "x11*x22")]
+    # a variable in no lead of the basis passes through the rewriting
+    gens = generators_PG(fixtures.k2())
+    gb = buchberger(gens, natural_order(_vars_of(gens)))
+    order = natural_order(_vars_of(gens) + [VarId(3, 3), "t"])
+    assert normal_form(parse_monomial("x12^2*x21*x33"), gb, order) \
+        == parse_monomial("x11*x12*x22*x33")
+    assert normal_form(Monomial([(VarId(1, 2), 1), (VarId(2, 1), 1),
+                                 ("t", 2)]), gb, order) \
+        == Monomial([(VarId(1, 1), 1), (VarId(2, 2), 1), ("t", 2)])
+
+
 def _saturation_graphs(rnd):
     """Cycles 3-5, 4-5 vertex unicyclic graphs, a small tree, the fixture."""
     for k in (3, 4, 5):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diagminors import cli, suite
 from diagminors.constructions import prism
@@ -428,6 +429,61 @@ def test_json_round_trips(capsys, trip_file):
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
+JSON_VERBS = (["analyze"], ["gens"], ["matrix", "--tu"],
+              ["construct", "--kind", "prism"],
+              ["construct", "--kind", "mobius"],
+              ["construct", "--kind", "witness"],
+              ["gb", "--order", "lex"], ["gb", "--order", "degrevlex"],
+              ["circuits"], ["graver"], ["ugb"], ["verify"])
+
+
+def test_json_writer_matches_stdlib_on_every_verb(capsys, tmp_path,
+                                                  monkeypatch,
+                                                  shared_battery):
+    payloads = []
+    emit = cli._emit
+
+    def recording_emit(args, lines, payload):
+        payloads.append(payload)
+        emit(args, lines, payload)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    for name, g in fixtures.fixture_battery().items():
+        p = tmp_path / (name + ".edges")
+        p.write_text(serialize_edge_list(g))
+        for argv in JSON_VERBS:
+            rc, out, _ = _run(capsys, argv[:1] + [str(p)] + argv[1:]
+                              + ["--format", "json"])
+            if rc == cli.PRECONDITION:
+                continue
+            assert out == json.dumps(payloads[-1], indent=2) + "\n", \
+                (name, argv)
+    rc, out, _ = _run(capsys, ["suite", "--format", "json"])
+    assert out == json.dumps(payloads[-1], indent=2) + "\n"
+    assert len(payloads) > 200
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(JSON_VALUES)
+def test_json_writer_matches_stdlib(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_rejects_other_types():
+    assert cli._json({"a": ("é\n", -12)}) \
+        == json.dumps({"a": ["é\n", -12]}, indent=2)
+    for bad in (1.5, {1: 2}, {"a": {None: 0}}, [set()], b"x"):
+        with pytest.raises(TypeError):
+            cli._json(bad)
+
+
 # First 16 hex digits of the sha256 of stdout, (text, json), for the basis
 # verbs on every fixture_battery() graph, as printed before circuits were
 # read off the Graver basis. The decorated-six-cycle circuits pair is the
@@ -620,6 +676,95 @@ def test_matrix_tu_byte_pinned(capsys, tmp_path):
             digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
         got[name] = tuple(digests)
     assert got == TU_DIGESTS
+
+
+# First 16 hex digits of the sha256 of `gb` stdout, (text, json), on every
+# fixture_battery() graph under the natural chain of each order kind, as
+# printed before the rewriting rules carried support masks.
+GB_DIGESTS = {
+    ("k2", "lex"): ("9985c4727f6adf53", "db84c78c7a1ea21d"),
+    ("k2", "deglex"): ("9985c4727f6adf53", "1eaa96f4a173d3c4"),
+    ("k2", "degrevlex"): ("59101f8085007b44", "a7e9e9b25ceb772d"),
+    ("triangle", "lex"): ("c8446b26a393b60a", "35289675c58cc835"),
+    ("triangle", "deglex"): ("06a066c0702ecb61", "6e547e7d053efc63"),
+    ("triangle", "degrevlex"): ("67df1c0922a06831", "cb65c5aed3c51498"),
+    ("triangle-pendant", "lex"): ("38f8354ff9170521", "6756615452bc96c4"),
+    ("triangle-pendant", "deglex"): ("e635e0f139b08a3d", "d6247b748b38e18a"),
+    ("triangle-pendant", "degrevlex"): ("4fd1b40592d80b66", "2f911b0d0bab1b57"),
+    ("five-vertex-example", "lex"): ("137fc293155caa05", "897f8ec48129e084"),
+    ("five-vertex-example", "deglex"): ("ab62dcd6d2b59ba8", "5862ca0ad5338d61"),
+    ("five-vertex-example", "degrevlex"): ("9b4fb5978de15b94", "ab6d65bbef8e2d06"),
+    ("pendant-cycle", "lex"): ("4c53a3dfdf4f55e5", "c7b7ed29d53cb1e6"),
+    ("pendant-cycle", "deglex"): ("c31bbbbd619c763e", "8d79a69568589e91"),
+    ("pendant-cycle", "degrevlex"): ("794bd7f2a722fbeb", "410103d6161fa5f6"),
+    ("decorated-six-cycle", "lex"): ("bef81d867d8f18a9", "531540738493db5f"),
+    ("decorated-six-cycle", "deglex"): ("d5052e7ade052d0c", "440bd11a504319c8"),
+    ("decorated-six-cycle", "degrevlex"): ("a0c2f2516c793506", "62f8d2a0ac325295"),
+    ("theta", "lex"): ("c7bdef66355dba46", "03f9f312873b6aa7"),
+    ("theta", "deglex"): ("eda92bcde2bf14bd", "f4989c41adcc4ff9"),
+    ("theta", "degrevlex"): ("6595a1f16b7bd81a", "ebd751b13a0d5c11"),
+    ("k23", "lex"): ("c7bdef66355dba46", "03f9f312873b6aa7"),
+    ("k23", "deglex"): ("eda92bcde2bf14bd", "f4989c41adcc4ff9"),
+    ("k23", "degrevlex"): ("6595a1f16b7bd81a", "ebd751b13a0d5c11"),
+    ("cycle-4", "lex"): ("7b6457bbca3a2538", "3e840a434e5b70bf"),
+    ("cycle-4", "deglex"): ("1dafad3acd47c3dd", "116a73f46ed4609b"),
+    ("cycle-4", "degrevlex"): ("ef3ed8722ffc42d2", "d4d026cc8a496dff"),
+    ("cycle-6", "lex"): ("85d31879a26adbd2", "d66a245d705cde7e"),
+    ("cycle-6", "deglex"): ("eda67d53808de703", "da0b003903a43f68"),
+    ("cycle-6", "degrevlex"): ("5cbfc098f53b5213", "be2245df7d30b94b"),
+    ("path-2", "lex"): ("9985c4727f6adf53", "db84c78c7a1ea21d"),
+    ("path-2", "deglex"): ("9985c4727f6adf53", "1eaa96f4a173d3c4"),
+    ("path-2", "degrevlex"): ("59101f8085007b44", "a7e9e9b25ceb772d"),
+    ("path-3", "lex"): ("7ab40f29ce7b6be0", "6c20683d2ed2746b"),
+    ("path-3", "deglex"): ("d544ef44a78537b0", "2e9c2236e95b1c75"),
+    ("path-3", "degrevlex"): ("fc9f4828b999bd20", "c0807e4d9b151f90"),
+    ("path-4", "lex"): ("85d907f8cb2877f0", "7f01eb1aeee05312"),
+    ("path-4", "deglex"): ("88908398ac88781b", "14fe83dc5f3a118f"),
+    ("path-4", "degrevlex"): ("798fcbee5ad43260", "1aa912cfa4f417ba"),
+    ("path-5", "lex"): ("15692b098f7d5f02", "932ff6077de06bf0"),
+    ("path-5", "deglex"): ("bdaad4639be70825", "d3d7f50feb02138a"),
+    ("path-5", "degrevlex"): ("8f9467ef8fa4bbf5", "5d39adf7740a92a7"),
+    ("path-6", "lex"): ("592c6de8a11eec8f", "106f97955e9074f6"),
+    ("path-6", "deglex"): ("1905623d9c8e7775", "208acba6a0c67b10"),
+    ("path-6", "degrevlex"): ("0e6af032eea5c168", "f8bc14f5c9682010"),
+    ("path-7", "lex"): ("14a1628f236fe497", "dd34bbe6e27ae5e8"),
+    ("path-7", "deglex"): ("1f5024c3a7c08029", "8e8eab96681f23cc"),
+    ("path-7", "degrevlex"): ("d1fd90c43cfec8ec", "77122c0f9ee098ee"),
+    ("star-3", "lex"): ("a40eaa96e5fed919", "bab6ce21e9ef7fd0"),
+    ("star-3", "deglex"): ("0715f35a351040eb", "cacd9c27d10a1e8a"),
+    ("star-3", "degrevlex"): ("8c7a936e1a213cdc", "e7a6804cd0b4c968"),
+    ("star-4", "lex"): ("20637d68c78d6132", "b6063cc2da68127c"),
+    ("star-4", "deglex"): ("562ed16059025e0b", "0deab74f75f623a1"),
+    ("star-4", "degrevlex"): ("7cd9713303dd9df7", "8c1de934ad37496b"),
+    ("star-5", "lex"): ("21abb0234313f708", "ec737f14363d3bd5"),
+    ("star-5", "deglex"): ("a00a0393cc788879", "7e334577e1045a82"),
+    ("star-5", "degrevlex"): ("71daf2de52dbdd7e", "288b849ddbd61e74"),
+    ("star-6", "lex"): ("f268c9d783bebbfa", "1f3c09119826cf5d"),
+    ("star-6", "deglex"): ("11ec58b12e34109c", "72f8b00ba3d25580"),
+    ("star-6", "degrevlex"): ("4c0aea6b3e5db828", "42ed683b615c15a7"),
+    ("star-7", "lex"): ("8f481dcc277ea1bf", "e2f4f51c7bc4bcd0"),
+    ("star-7", "deglex"): ("16a21175148ba619", "754e69442f221780"),
+    ("star-7", "degrevlex"): ("7093670aa8060b1d", "c67e838fc863d29b"),
+    ("star-8", "lex"): ("71bb17fa5ec041d4", "30b71ed9d5a0fe92"),
+    ("star-8", "deglex"): ("76ef0a2cbb7487b8", "bda402c570762c09"),
+    ("star-8", "degrevlex"): ("07646fde89abff57", "062a7fa51638a7ec"),
+}
+
+
+def test_gb_byte_pinned(capsys, tmp_path):
+    got = {}
+    for name, g in fixtures.fixture_battery().items():
+        p = tmp_path / (name + ".edges")
+        p.write_text(serialize_edge_list(g))
+        for kind in ("lex", "deglex", "degrevlex"):
+            digests = []
+            for fmt in ("text", "json"):
+                rc, out, _ = _run(capsys, ["gb", str(p), "--order", kind,
+                                           "--format", fmt])
+                assert rc == 0
+                digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+            got[name, kind] = tuple(digests)
+    assert got == GB_DIGESTS
 
 
 @pytest.fixture(scope="module")
