@@ -6,10 +6,13 @@ Usage, from the root of a checkout:
 
 `cli._build_parser()` alone and `cli.main(argv)` on each op below are
 timed REPEAT times with `time.perf_counter`, after one untimed warm-up
-call each. Each op runs with `--format json` and its stdout captured, as
-an op of the benchmark in `bench/` does. The output is one JSON object:
-the Python version, the CPU count, the repeat count, and per timed call
-the median and the spread (min, max) of the timings in milliseconds.
+call each; a call whose timings pass BUDGET_S seconds in all stops after
+MIN_CALLS of them, so code where an op takes seconds can be timed too.
+Each op runs with `--format json` and its stdout captured, as an op of
+the benchmark in `bench/` does. The output is one JSON object: the Python
+version, the CPU count, the repeat count, and per timed call the number
+of timed calls, the median and the spread (min, max) of the timings in
+milliseconds.
 """
 
 import contextlib
@@ -31,6 +34,8 @@ from diagminors.encoding import build_AG  # noqa: E402
 from diagminors.graphs import Graph, serialize_edge_list  # noqa: E402
 
 REPEAT = 50
+BUDGET_S = 20.0
+MIN_CALLS = 3
 
 
 BOWTIE = Graph((), [(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (1, 5)])
@@ -40,6 +45,14 @@ BOWTIE = Graph((), [(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (1, 5)])
 MULTICYCLE_11 = Graph((), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
                            (1, 7), (7, 8), (8, 9), (9, 10), (10, 11),
                            (2, 5), (8, 11)])
+
+# The wheel with five spokes: a 5-cycle on 1..5 and the hub 6.
+W5 = Graph((), [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+           + [(v, 6) for v in range(1, 6)])
+
+# K4 on 1..4 and a triangle 1, 5, 6 sharing vertex 1.
+K4_PLUS_TRIANGLE = Graph((), [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+                              (3, 4), (1, 5), (5, 6), (1, 6)])
 
 
 def diagonal_first(kind, g):
@@ -65,6 +78,9 @@ def ops():
         "circuits theta": (["circuits"], fixtures.theta_graph()),
         "circuits decorated-six-cycle": (["circuits"],
                                          fixtures.decorated_six_cycle()),
+        "circuits bowtie": (["circuits"], BOWTIE),
+        "circuits k4-plus-triangle": (["circuits"], K4_PLUS_TRIANGLE),
+        "circuits w5": (["circuits"], W5),
         "graver cycle-6": (["graver"], fixtures.cycle(6)),
         "gb triangle deglex": (["gb", "--order", "deglex"],
                                fixtures.triangle()),
@@ -82,11 +98,13 @@ def ops():
 def time_calls(fn):
     fn()
     times = []
-    for _ in range(REPEAT):
+    while len(times) < REPEAT and (len(times) < MIN_CALLS
+                                   or sum(times) < BUDGET_S):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
-    return {"median_ms": round(1000 * statistics.median(times), 3),
+    return {"calls": len(times),
+            "median_ms": round(1000 * statistics.median(times), 3),
             "min_ms": round(1000 * min(times), 3),
             "max_ms": round(1000 * max(times), 3)}
 

@@ -315,14 +315,16 @@ def _split_chain(chain):
     """Split a comma-separated chain whose items may themselves hold commas.
 
     Wide names like x_10,2 span two comma-separated tokens, so try the
-    two-token merge first; a merge only parses when the second token is all
-    digits, so it can never swallow a following variable.
+    two-token merge first when the second token is all digits, the only
+    case where a merge can parse; it can never swallow a following
+    variable, which starts with x, and a chain of narrow names never
+    raises inside.
     """
     toks = chain.split(",")
     out = []
     k = 0
     while k < len(toks):
-        if k + 1 < len(toks):
+        if k + 1 < len(toks) and toks[k + 1].isdigit():
             merged = toks[k] + "," + toks[k + 1]
             try:
                 parse_var(merged)

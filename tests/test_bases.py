@@ -1,20 +1,23 @@
 """Circuits, Graver bases, walk binomials and universal basis reports."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from diagminors.bases import (BasisReport, circuits, degree_stats,
                               graph_basis, graver, is_primitive, ugb,
                               walk_binomial)
-from diagminors.binomials import (Binomial, Monomial, TermOrder, buchberger,
+from diagminors.binomials import (Binomial, Monomial, TermOrder,
+                                  binomial_from_vector, buchberger,
                                   natural_order, normal_form, parse_binomial,
                                   parse_monomial, var_sort_key)
 from diagminors.constructions import build_H, prism
 from diagminors.encoding import (VectorConfiguration, build_AG, generators_PG,
                                  incidence_config)
-from diagminors.graphs import ClosedWalk, Graph, classify, enumerate_cycles
-from diagminors.intmat import IntVector
+from diagminors.graphs import (ClosedWalk, Graph, classify, components,
+                               enumerate_cycles, is_bipartite)
+from diagminors.intmat import IntVector, matrix_graver, support_minimal
 from diagminors import fixtures
 from references import _graph_circuits, _host_walk_ugb, _saturation_toric_gb
 
@@ -313,6 +316,142 @@ def test_graph_basis_matches_completion_on_bipartite_graphs():
         if len(records) > 1:
             kinds.add("disconnected")
     assert kinds == {"tree", "unicyclic-even", "multicycle", "disconnected"}
+
+
+BOWTIE = Graph((), [(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (1, 5)])
+
+# One graph per handcuff kind, and two disconnected ones: the triangle has
+# tight half-edges, the triangle-pendant a loose one, the bowtie a tight
+# pair, two triangles joined by the path 3-7-4 loose pairs, and two
+# disjoint triangles (or a triangle beside an edge) no handcuff across.
+HANDCUFF_GRAPHS = (
+    fixtures.triangle(),
+    fixtures.triangle_pendant(),
+    BOWTIE,
+    Graph((), [(1, 2), (2, 3), (1, 3), (3, 7), (7, 4), (4, 5), (5, 6),
+               (4, 6)]),
+    Graph((), [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]),
+    Graph((), [(10, 12), (12, 11), (10, 11), (13, 14)]),
+)
+
+CIRCUIT_KINDS = {"even cycle", "path", "tight half-edge", "loose half-edge",
+                 "tight pair", "loose pair"}
+
+
+def _circuit_kind(b):
+    """Which circuit shape of A_G a binomial is, read off its exponents.
+
+    A path has both end diagonals once; a half-edge handcuff one diagonal
+    squared, with doubled path edges when loose; a pair no diagonal, with
+    doubled path edges when loose and a vertex of degree 4 when tight.
+    """
+    diagonal = []
+    edges = {}
+    for var, e in b.plus.items + b.minus.items:
+        if var.i == var.j:
+            diagonal.append(e)
+        else:
+            edges[min(var.i, var.j), max(var.i, var.j)] = e
+    if 1 in diagonal:
+        return "path"
+    if diagonal:
+        return "loose half-edge" if 2 in edges.values() else "tight half-edge"
+    if 2 in edges.values():
+        return "loose pair"
+    degree = Counter(v for e in edges for v in e)
+    return "tight pair" if 4 in degree.values() else "even cycle"
+
+
+def _random_non_bipartite(rng):
+    """An odd cycle plus random edges, at most 7 vertices and 8 edges.
+
+    Labels are scattered over 1..24, so wide names and edges listed from
+    the larger end occur.
+    """
+    n = rng.randint(3, 7)
+    k = rng.choice([c for c in (3, 5, 7) if c <= n])
+    edges = [(t, (t + 1) % k) for t in range(k)]
+    edges += [(v, rng.randrange(v)) for v in range(k, n)]
+    others = [(a, b) for a in range(n) for b in range(a + 1, n)
+              if (a, b) not in edges and (b, a) not in edges]
+    edges += rng.sample(others, min(len(others), rng.randint(0, 8 - len(edges))))
+    labels = rng.sample(range(1, 25), n)
+    edges = [(labels[a], labels[b]) if rng.random() < 0.5
+             else (labels[b], labels[a]) for a, b in edges]
+    rng.shuffle(edges)
+    return Graph((), edges)
+
+
+def test_graph_basis_circuits_match_completion_on_non_bipartite_graphs():
+    # cycles, paths and handcuffs against the Graver completion, in list
+    # order and with the same sides
+    rng = random.Random(21)
+    graphs = list(HANDCUFF_GRAPHS)
+    graphs += [_random_non_bipartite(rng) for _ in range(30)]
+    kinds = Counter()
+    for g in graphs:
+        assert not is_bipartite(g)
+        got = graph_basis(g, "circuits")
+        want = circuits(build_AG(g))
+        assert ([(b.plus, b.minus) for b in got]
+                == [(b.plus, b.minus) for b in want])
+        kinds.update(_circuit_kind(b) for b in got)
+    assert set(kinds) == CIRCUIT_KINDS
+    assert [len(components(g)) for g in HANDCUFF_GRAPHS[-2:]] == [2, 2]
+
+
+def test_circuit_kinds_of_each_handcuff_graph():
+    # the lists themselves are held to the completion above
+    counts = [Counter(_circuit_kind(b) for b in graph_basis(g, "circuits"))
+              for g in HANDCUFF_GRAPHS]
+    path, tight, loose = "path", "tight half-edge", "loose half-edge"
+    assert counts == [
+        {path: 6, tight: 3},
+        {path: 11, tight: 3, loose: 1},
+        {path: 28, tight: 6, loose: 8, "tight pair": 1},
+        {path: 47, tight: 6, loose: 12, "loose pair": 1},
+        {path: 12, tight: 6},
+        {path: 7, tight: 3},
+    ]
+
+
+def _sandwich_shaped(rng):
+    """An odd cycle with trees hanging off it, or a non-bipartite tree plus
+    two chords: the non-bipartite inputs `ugb` sandwiches, on 5-7 vertices."""
+    while True:
+        n = rng.randint(5, 7)
+        if rng.random() < 0.5:
+            k = rng.choice([c for c in (3, 5) if c < n])
+            edges = [(t, (t + 1) % k) for t in range(k)]
+            edges += [(v, rng.randrange(v)) for v in range(k, n)]
+        else:
+            edges = [(v, rng.randrange(v)) for v in range(1, n)]
+            others = [(a, b) for a in range(n) for b in range(a + 1, n)
+                      if (a, b) not in edges and (b, a) not in edges]
+            edges += rng.sample(others, 2)
+        g = Graph((), [(a + 1, b + 1) for a, b in edges])
+        if not is_bipartite(g):
+            return g
+
+
+def test_ugb_lower_bound_equals_graph_circuits():
+    # ugb keeps one Graver basis per non-bipartite component for its upper
+    # bound; its lower bound, the support-minimal part of that basis, is
+    # the list graph_basis reads off cycles, paths and handcuffs
+    rng = random.Random(29)
+    graphs = [BOWTIE, fixtures.triangle_pendant(), fixtures.cycle(5)]
+    graphs += [_sandwich_shaped(rng) for _ in range(12)]
+    statuses = set()
+    for g in graphs:
+        cfg = build_AG(g)
+        minimal = support_minimal(matrix_graver(cfg.matrix))
+        want = graph_basis(g, "circuits")
+        assert [binomial_from_vector(v.entries, cfg.variables)
+                for v in minimal] == want
+        rep = ugb(g)
+        assert list(rep.elements) == want
+        statuses.add(rep.status)
+    assert statuses == {"exact", "sandwich"}
 
 
 def test_graph_basis_empty_and_unknown_kind():

@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diagminors import cli, suite
+from diagminors import bases, cli, intmat, suite
 from diagminors.constructions import prism
 from diagminors.graphs import (Graph, components, is_bipartite,
                               serialize_edge_list)
@@ -252,6 +252,48 @@ def test_gb_wide_variable_chain(capsys, tmp_path):
     data = json.loads(out)
     assert data["order"]["chain"] == ["x_1,10", "x_10,1", "x11", "x_10,10"]
     assert data["basis"][0]["text"] == "x_1,10*x_10,1 - x11*x_10,10"
+
+
+def test_split_chain_merges_only_before_digits(monkeypatch):
+    # a merge can parse only when its second token is all digits, so a
+    # chain of narrow names is split without a failed parse_var call
+    real = cli.parse_var
+    errors = []
+
+    def counting(text):
+        try:
+            return real(text)
+        except ValueError:
+            errors.append(text)
+            raise
+
+    monkeypatch.setattr(cli, "parse_var", counting)
+    assert cli._split_chain("x11,x12,x21,x22,x23,x32,x33") == [
+        "x11", "x12", "x21", "x22", "x23", "x32", "x33"]
+    assert cli._split_chain("x_1,10,x_10,1,x11,x_10,10") == [
+        "x_1,10", "x_10,1", "x11", "x_10,10"]
+    assert cli._split_chain("x1,2,x_12,3,x33") == ["x1,2", "x_12,3", "x33"]
+    assert cli._split_chain("x11,10,x22") == ["x11,10", "x22"]
+    assert errors == []
+
+
+def test_split_chain_error_messages():
+    bad = {
+        "x11,y2": "variable must start with x: 'y2'",
+        "x11,x123": "cannot read variable 'x123'; use x_i,j for wide indices",
+        "x11,,x22": "variable must start with x: ''",
+        "x_1,x22": "cannot read variable 'x_1'; use x_i,j for wide indices",
+        "x11,": "variable must start with x: ''",
+        ",x11": "variable must start with x: ''",
+        "x_1,2,3": "variable must start with x: '3'",
+        "x_a,1": "cannot read variable 'x_a'; use x_i,j for wide indices",
+        "x1,2,x": "cannot read variable 'x'; use x_i,j for wide indices",
+        "x_10,x1": "cannot read variable 'x1'; use x_i,j for wide indices",
+    }
+    for chain, message in bad.items():
+        with pytest.raises(ValueError) as info:
+            cli._split_chain(chain)
+        assert str(info.value) == message
 
 
 def test_circuits_and_graver(capsys, tmp_path, k2_file):
@@ -622,6 +664,49 @@ def test_basis_verbs_byte_pinned_where_completion_is_slow(capsys, tmp_path):
                 digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
             got[name, verb] = tuple(digests)
     assert got == SLOW_BASIS_DIGESTS
+
+
+# First 16 hex digits of the sha256 of stdout, (text, json), for `circuits`
+# on three non-bipartite graphs, captured from the Graver completion, which
+# took 19 s a run on W5 (2 shared vCPUs). The circuits of every graph are
+# now read off its cycles, paths and odd-cycle handcuffs; the test holds
+# that route to the completion's bytes with the completion made to raise.
+HANDCUFF_EDGES = {
+    "w5": [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
+          + [(v, 6) for v in range(1, 6)],
+    # K4 on 1..4 and a triangle 1, 5, 6 sharing vertex 1
+    "k4-plus-triangle": [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+                         (1, 5), (5, 6), (1, 6)],
+    "bowtie": [(1, 2), (2, 3), (1, 3), (1, 4), (4, 5), (1, 5)],
+}
+HANDCUFF_DIGESTS = {
+    "w5": ("0b1745d6632173a5", "02af4cc5b93814ac"),
+    "k4-plus-triangle": ("d7bc638ac7f86473", "f57f769ecc375efb"),
+    "bowtie": ("9b7c30e9c581dbef", "39e9ce9d6f3feb22"),
+}
+
+
+def test_circuits_byte_pinned_without_completion(capsys, tmp_path,
+                                                 monkeypatch):
+    def no_completion(m):
+        raise AssertionError("the Graver completion ran")
+
+    monkeypatch.setattr(intmat, "matrix_graver", no_completion)
+    monkeypatch.setattr(bases, "matrix_graver", no_completion)
+    got = {}
+    for name, edges in HANDCUFF_EDGES.items():
+        p = tmp_path / (name + ".edges")
+        p.write_text(serialize_edge_list(Graph((), edges)))
+        digests = []
+        for fmt in ("text", "json"):
+            rc, out, _ = _run(capsys, ["circuits", str(p), "--format", fmt])
+            assert rc == 0
+            digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+        got[name] = tuple(digests)
+    assert got == HANDCUFF_DIGESTS
+    # the patch is live: the Graver basis of the bowtie needs the completion
+    with pytest.raises(AssertionError, match="completion ran"):
+        cli.main(["graver", str(tmp_path / "bowtie.edges")])
 
 
 # First 16 hex digits of the sha256 of `matrix --tu` stdout, (text, json),
